@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import tempfile
 from collections import deque
 from dataclasses import dataclass, field
@@ -73,6 +74,19 @@ class ServingWorkload:
 
     prompt_range: tuple[int, int] = (16, 256)
     output_range: tuple[int, int] = (8, 96)
+
+    def __post_init__(self) -> None:
+        for name in ("prompt_range", "output_range"):
+            rng = getattr(self, name)
+            if not (
+                isinstance(rng, tuple) and len(rng) == 2
+                and all(isinstance(v, int) for v in rng)
+                and 1 <= rng[0] <= rng[1]
+            ):
+                raise DataError(
+                    f"{name} must be two ints with 1 <= lo <= hi, "
+                    f"got {rng!r}"
+                )
 
     def describe(self) -> dict:
         """JSON-ready identity of the workload distributions."""
@@ -400,9 +414,20 @@ class ServingSimulator:
         return end
 
     def _decode(
-        self, batch: list[Request], t: float, batch_bucket: int
+        self, batch: list[Request], t: float, batch_bucket: int,
+        admit_at: float = math.inf, sample: bool = False,
     ) -> float:
-        """Run one decode step for ``batch``; returns the end time."""
+        """Run one window of decode steps for ``batch``; returns the end
+        time.
+
+        A window is the longest run of steps over which the batch, its
+        ``(batch_bucket, ctx_bucket)`` geometry and so the step cost are
+        fixed. It ends at the first step that finishes a request, the
+        last step before the max context crosses into the next quantum,
+        or before the first later step that would start at or after
+        ``admit_at`` (the next moment admission could act). With
+        ``sample`` the peak trackers see the batch before every step.
+        """
         ctx = max(r.context_len for r in batch)
         try:
             cost = self._decode_cost(batch_bucket, self._ctx_bucket(ctx))
@@ -412,28 +437,48 @@ class ServingSimulator:
                 "check reserves the worst-case geometry, so this "
                 "indicates a simulator bug"
             ) from err
-        self.decode_steps += 1
-        self.decode_slot_tokens += len(batch)
-        end = t + cost.time_us
         cap = max_decode_context(self.config)
+        q = self.ctx_quantum
+        limit = min(
+            -(-ctx // q) * q - ctx + 1,
+            min(
+                min(r.output_len, cap + 2 - r.prompt_len) - r.generated
+                for r in batch
+            ),
+        )
+        # repeated addition, so every timestamp equals the one-step sum
+        end = t + cost.time_us
+        k = 1
+        while k < limit and end < admit_at:
+            end += cost.time_us
+            k += 1
+        if sample:
+            self._sample(batch, ahead=k - 1)
+        self.decode_steps += k
+        self.decode_slot_tokens += k * len(batch)
         for r in batch:
-            r.generated += 1
+            r.generated += k
             cache_now = r.prompt_len + r.generated - 1
             if r.generated >= r.output_len:
                 r.finish_reason = "completed"
-                r.finish_us = end
             elif cache_now > cap:
                 # cache-full boundary: that was the last legal step
                 r.finish_reason = "length_cap"
-                r.finish_us = end
             else:
                 r.context_len = cache_now
+                continue
+            r.finish_us = end
+            r.context_len = cache_now - 1
         return end
 
-    def _sample(self, in_flight: list[Request]) -> None:
+    def _sample(self, in_flight: list[Request], ahead: int = 0) -> None:
+        """Update the peak trackers; ``ahead`` decode steps from now,
+        every in-flight context has grown by that many tokens."""
         self.peak_in_flight = max(self.peak_in_flight, len(in_flight))
         reserved = sum(r.reserved_kv_bytes for r in in_flight)
-        actual = sum(self.kv_per_token * r.context_len for r in in_flight)
+        actual = self.kv_per_token * (
+            sum(r.context_len for r in in_flight) + len(in_flight) * ahead
+        )
         self.peak_kv_reserved_bytes = max(
             self.peak_kv_reserved_bytes, reserved
         )
@@ -482,9 +527,16 @@ class ServingSimulator:
             if joiners:
                 t = self._prefill(joiners, t)
                 batch.extend(r for r in joiners if r.finish_us is None)
-            self._sample(batch)
             if batch:
-                t = self._decode(batch, t, _bucket_batch(len(batch)))
+                admit_at = (
+                    queue[0].arrival_us
+                    if queue and len(batch) < self.max_batch
+                    else math.inf
+                )
+                t = self._decode(
+                    batch, t, _bucket_batch(len(batch)), admit_at,
+                    sample=True,
+                )
                 batch = [r for r in batch if r.finish_us is None]
         return t
 
@@ -793,7 +845,7 @@ class ServingAblationResult:
         for r in self.rows:
             if r.point.policy == policy and r.point.rate_per_s == rate:
                 return r
-        raise KeyError(f"no serving point for {policy!r} at {rate} req/s")
+        raise DataError(f"no serving point for {policy!r} at {rate} req/s")
 
     def checks(self) -> list[ShapeCheck]:
         """A15's acceptance criteria."""

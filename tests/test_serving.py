@@ -15,6 +15,7 @@ The properties the PR claims, executed:
   decode step, and cached generation reproduces the uncached tokens.
 """
 
+import hashlib
 import io
 from types import SimpleNamespace
 
@@ -25,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from repro import ht
 from repro.core.decode_study import DecodeStudyResult
 from repro.core.serving import (
+    ServingAblationResult,
     ServingPoint,
     ServingSimulator,
     ServingWorkload,
@@ -272,3 +274,128 @@ class TestServingValidation:
         trace = generate_requests(2, 10.0, workload=SMALL_WORKLOAD)
         with pytest.raises(Exception, match="unknown serving policy"):
             simulator.run(trace, "clairvoyant")
+
+    @pytest.mark.parametrize("field", ["prompt_range", "output_range"])
+    def test_inverted_range(self, field):
+        with pytest.raises(DataError, match=field):
+            ServingWorkload(**{field: (20, 10)})
+
+    @pytest.mark.parametrize("field", ["prompt_range", "output_range"])
+    def test_zero_length_range(self, field):
+        with pytest.raises(DataError, match=field):
+            ServingWorkload(**{field: (0, 0)})
+
+    @pytest.mark.parametrize("bad", [(1.0, 4), (1, 2, 3), (4,), "ab"])
+    def test_not_two_ints(self, bad):
+        with pytest.raises(DataError, match="prompt_range"):
+            ServingWorkload(prompt_range=bad)
+
+    def test_unit_range_accepted(self):
+        assert ServingWorkload(prompt_range=(1, 1), output_range=(1, 1))
+
+    def test_result_for_missing_point(self):
+        with pytest.raises(DataError, match="no serving point"):
+            ServingAblationResult().result_for("static", 10.0)
+
+
+_PRESSURE = scaled(paper_gpt_config(), vocab_size=512)
+_CAPPED = scaled(paper_gpt_config(), vocab_size=512, seq_len=512)
+
+#: serving scenarios whose per-request records are pinned below: the
+#: paper model at two rates, one slot, a fine context quantum, the A15
+#: KV-pressure budget, and a short window that truncates and rejects
+EXACTNESS_SCENARIOS = {
+    "default-20": dict(num=120, rate=20.0),
+    "default-60": dict(num=120, rate=60.0),
+    "max-batch-1": dict(num=60, rate=20.0, max_batch=1),
+    "quantum-16": dict(num=60, rate=20.0, ctx_quantum=16),
+    "kv-pressure": dict(
+        num=60, rate=10.0, model_config=_PRESSURE, max_batch=16,
+        hbm_budget=serving_weight_bytes(_PRESSURE)
+        + 5 * kv_bytes_per_token(_PRESSURE) * _PRESSURE.max_seq_len,
+        workload=ServingWorkload(
+            prompt_range=(256, 768), output_range=(256, 512)
+        ),
+    ),
+    "length-cap": dict(
+        num=300, rate=20.0, model_config=_CAPPED, seed=5,
+        workload=ServingWorkload(
+            prompt_range=(100, 520), output_range=(50, 400)
+        ),
+    ),
+}
+
+#: sha256 of every record's lifecycle tuple plus the run's makespan and
+#: step/peak counters, as the one-decode-step-per-iteration loop
+#: produced them; the windowed loop must reproduce them bit for bit
+RECORD_DIGESTS = {
+    ("default-20", "continuous"):
+        "82699f2265dab220de773a6003a1ab191c25ef0a0b224ff0950de35dc4d9b4a4",
+    ("default-20", "static"):
+        "c7239ae8c75d648bc59e435f06f7409c9e1db2b3a1c69b014151b0968d243bc8",
+    ("default-60", "continuous"):
+        "23c9523f55433e06500bb9ec6b33876d002e9374103b391b2cbfdb9192b10964",
+    ("default-60", "static"):
+        "885c53d19da45732b14e7e4a4868d7b3985ccf4c58adb5bdc3f3520e716e4d8c",
+    ("kv-pressure", "continuous"):
+        "d7047e1305b58db9afc7130aef6d67b70164c182671554c88f87f3d36c393c85",
+    ("kv-pressure", "static"):
+        "470ea0b5c5250d13a5e8e3e93e5f871f82a6d7ef4416268f4837b5f00d40d20b",
+    ("length-cap", "continuous"):
+        "667adf30d93a634e85b15c7a1c80900204796ca286efc57e81738556665b18ab",
+    ("length-cap", "static"):
+        "4ba11e7c946793fce3bbcc61ed1a0cdbebc3f7c8d7a4c68da93ba68377121745",
+    ("max-batch-1", "continuous"):
+        "eb8997fdf4c35d32881e466c50ba416af320ad7dbf3cf222a34504930c97f951",
+    ("max-batch-1", "static"):
+        "50db23caafdb0eca4a056dcce2f77bead31b61428507f90b65ebeae8b3b89772",
+    ("quantum-16", "continuous"):
+        "75c88c7bc6a4a85088f00753f06baf0ba63c08f416f52001a37c4b1fc9334ac8",
+    ("quantum-16", "static"):
+        "05b4bd8618091eef19ceb1b7d9c6c02b52d9f873e7a1173a40c31c9cf73cd5be",
+}
+
+
+def _serve_scenario(name: str, policy: str):
+    spec = dict(EXACTNESS_SCENARIOS[name])
+    runtime = ServingRuntime(hbm_budget=spec.pop("hbm_budget", None))
+    trace = generate_requests(
+        spec.pop("num"), spec.pop("rate"),
+        workload=spec.pop("workload", ServingWorkload()),
+        seed=spec.pop("seed", 0),
+    )
+    sim = ServingSimulator(runtime, **spec)
+    return runtime, sim.run(trace, policy)
+
+
+def _record_digest(result) -> str:
+    h = hashlib.sha256()
+    for r in result.records:
+        h.update(repr((
+            r.rid, r.admitted_us, r.first_token_us, r.finish_us,
+            r.generated, r.context_len, r.finish_reason,
+            r.reserved_kv_bytes,
+        )).encode())
+    h.update(repr((
+        result.makespan_us, result.prefill_steps, result.decode_steps,
+        result.decode_slot_tokens, result.peak_in_flight,
+        result.peak_kv_reserved_bytes, result.peak_kv_actual_bytes,
+    )).encode())
+    return h.hexdigest()
+
+
+class TestWindowedDecodeExactness:
+    @pytest.mark.parametrize("policy", ["continuous", "static"])
+    @pytest.mark.parametrize("name", sorted(EXACTNESS_SCENARIOS))
+    def test_records_match_pinned_digest(self, name, policy):
+        _, result = _serve_scenario(name, policy)
+        assert _record_digest(result) == RECORD_DIGESTS[name, policy]
+
+    def test_length_cap_scenario_truncates_and_rejects(self):
+        _, result = _serve_scenario("length-cap", "continuous")
+        m = result.metrics()
+        assert (m["truncated"], m["rejected"]) == (168, 7)
+
+    def test_windows_skip_lookups(self):
+        runtime, result = _serve_scenario("default-20", "continuous")
+        assert runtime.lookups < result.decode_steps
