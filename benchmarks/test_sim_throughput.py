@@ -4,7 +4,9 @@ The vectorized fluid engine exists to make sweeps affordable; this
 gate keeps it honest. It executes the GPT-2 training step on the
 8-card HLS-1 (the heaviest standard trace: DDP collectives + shared
 fabric + per-card HBM arbiters) under both engines, asserts the
-traces are byte-identical, then times both in one process as
+traces are byte-identical, then times both — each run is ``execute``
+plus reading ``timeline.events``, so the lazily built card copies
+are paid for inside the timed region — in one process as
 sequential best-of-N blocks — contiguous runs keep each engine's
 working set hot, where alternating engines lets the scalar pass
 evict the vector loop's caches and shaves ~10% off its measured
@@ -50,9 +52,14 @@ def _measure() -> dict:
     system_cfg = dataclasses.replace(hls1, num_cards=8)
 
     def run(engine):
-        return HLS1Runtime(HLS1Device(system_cfg)).execute(
+        result = HLS1Runtime(HLS1Device(system_cfg)).execute(
             schedule, engine=engine
         )
+        # the vector engine's timeline builds the other cards' events
+        # on first read; reading them here keeps the timed region
+        # covering every event the throughput counts
+        result.timeline.events
+        return result
 
     # correctness first (also warms both engines' prep caches): the
     # speedup only counts if the engines agree bit for bit

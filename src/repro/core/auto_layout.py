@@ -29,9 +29,10 @@ from ..hw.device import HLS1Device
 from ..synapse import GraphCompiler, default_compiler_options
 from ..synapse.recipe import RecipeCache
 from ..synapse.runtime import HLS1Runtime
-from ..util.errors import CompileError, DeviceMemoryError
+from ..util.errors import CompileError, DataError, DeviceMemoryError
 from ..util.tabulate import render_table
 from ..util.units import us_to_ms
+from ..util.validation import check_positive_int
 from .e2e_llm import record_training_step
 from .reference import ShapeCheck, threshold_check
 
@@ -92,8 +93,15 @@ def enumerate_layouts(
     ``tp`` fits inside one box *and* inside one pipeline stage's card
     slice; pipelines need ``microbatches >= pp`` dividing ``batch``
     (stages must fill, microbatch shapes must be uniform); ``pp == 1``
-    pins ``microbatches = 1``.
+    pins ``microbatches = 1``. A non-positive grid entry raises
+    :class:`~repro.util.errors.ConfigError`.
     """
+    for name, grid in (
+        ("tp_grid", tp_grid), ("pp_grid", pp_grid),
+        ("microbatch_grid", microbatch_grid),
+    ):
+        for value in grid:
+            check_positive_int(f"{name} entry", value)
     layouts: list[ParallelLayout] = []
     for tp in tp_grid:
         for pp in pp_grid:
@@ -149,6 +157,10 @@ class LayoutPlanner:
         hls1: HLS1Config | None = None,
         cards_per_box: int = 8,
     ):
+        if isinstance(batch, bool) or not isinstance(batch, int) or batch < 1:
+            raise DataError(
+                f"planner batch must be a positive int, got {batch!r}"
+            )
         self.model_name = model_name
         self.batch = batch
         self.seq_len = seq_len

@@ -551,9 +551,10 @@ class Runtime:
         (used by equivalence tests).
         """
         if _resolve_engine(engine) == "vector":
-            return _fluid_execute_vector(
+            events, _, stall_total = _fluid_execute_vector(
                 [self.device], schedule, order, t0, shared=shared, prep=prep
             )
+            return events, stall_total
         return _fluid_execute(
             [self.device], schedule, order, t0, shared=shared,
             parts=prep.parts if prep is not None else None,
@@ -605,8 +606,8 @@ class _SchedulePrep:
         self.consumers_of, self.blocked_proto = Runtime._dep_graph(schedule)
         # per-op TraceEvent field template: the seven fields that never
         # change across executions, pre-inserted so the vector loop's
-        # finish path is one dict copy + four setitems (the copies own
-        # their storage — mutating one never touches the template)
+        # finish path is one dict update + four setitems into the new
+        # event's own ``__dict__`` (the template is never mutated)
         self.protos = [
             {
                 "name": op.label, "engine": op.engine, "start_us": 0.0,
@@ -887,7 +888,7 @@ def _fluid_execute_vector(
     fabric: BandwidthArbiter | None = None,
     plans: dict[int, CollectivePlan] | None = None,
     prep: "_SchedulePrep | None" = None,
-) -> tuple[list[TraceEvent], float]:
+) -> tuple[list[TraceEvent], list[int], float]:
     """The fluid loop rewritten for throughput; byte-identical traces.
 
     Two observations make this fast without changing a single float:
@@ -898,10 +899,13 @@ def _fluid_execute_vector(
       engine timeline ever clamps a reservation. The per-card dynamics
       are therefore one deterministic trajectory repeated N times — so
       this engine simulates one representative card (collectives join
-      all cards at once by symmetry) and replicates each emitted event
-      across cards in the heap order ``(t, idx, c)`` the scalar loop
-      pops them in. Stall accumulation repeats the same float additions
-      in the same sequence.
+      all cards at once by symmetry) and returns only card 0's events,
+      plus the positions of its collective finishes: the other cards'
+      events are copies that differ only in ``card`` (and a collective
+      copy's zero stall), which :meth:`Timeline.replicated` builds on
+      demand in the heap order ``(t, idx, c)`` the scalar loop pops
+      them in. Stall accumulation still repeats the same float
+      additions, one per card, in the same sequence.
     * **The event loop never needs to poll.** Per-op costs are hoisted
       into flat lists once (no ``CostParts`` attribute walks, no
       ``ScheduledOp.flops`` recomputation, no enum-keyed dicts in the
@@ -953,7 +957,7 @@ def _fluid_execute_vector(
     card_timelines = [
         [card.timelines[engine] for engine in engine_of] for card in cards
     ]
-    replicas = range(1, ncards)
+    per_card = range(ncards)
     new_event = TraceEvent.__new__
     # twin cards replay card 0's reservation stream in bulk after the
     # loop (the loop itself never reads a twin timeline)
@@ -972,6 +976,7 @@ def _fluid_execute_vector(
     coll_step: dict[int, int] = {}
     timers: list[tuple[float, int]] = []
     events: list[TraceEvent] = []
+    finishes: list[int] = []
     stall_total = 0.0
     done = 0
     now = t0
@@ -1024,27 +1029,20 @@ def _fluid_execute_vector(
         interval = rep_timelines[e].reserve_started(
             begun, duration, label_l[idx]
         )
-        # copy the op's prebuilt field template (the per-execution
-        # fields overwrite in place); each event's (empty) ``__dict__``
-        # then copies the copy, so bumping ``card`` between replicas is
-        # safe and no per-replica kwargs dict is ever built
-        proto = dict(proto_l[idx])
-        proto["start_us"] = interval.start
-        proto["dur_us"] = duration
-        proto["hbm_gbps"] = achieved_gbps
-        proto["contention_stall_us"] = stall
+        # fill the event's (empty) ``__dict__`` from the op's prebuilt
+        # field template, then overwrite the per-execution fields
         ev0 = new_event(TraceEvent)
-        ev0.__dict__.update(proto)
-        stall_total += stall
+        fields = ev0.__dict__
+        fields.update(proto_l[idx])
+        fields["start_us"] = interval.start
+        fields["dur_us"] = duration
+        fields["hbm_gbps"] = achieved_gbps
+        fields["contention_stall_us"] = stall
         events.append(ev0)
-        for c in replicas:
+        for _ in per_card:
             # stall adds stay one-per-card, in card order, exactly as
             # the scalar loop's per-card finish_op calls accumulate them
             stall_total += stall
-            proto["card"] = c
-            ev = new_event(TraceEvent)
-            ev.__dict__.update(proto)
-            events.append(ev)
 
     def begin_drain(idx: int) -> None:
         plan = plans[idx]
@@ -1081,20 +1079,14 @@ def _fluid_execute_vector(
         stall_total += stall
         label = label_l[idx]
         interval = rep_timelines[e].reserve_started(begun, t - begun, label)
-        ev0 = fast_trace_event(
+        # only card 0 carries the collective's stall attribution; the
+        # lazy timeline zeroes it on the other cards' copies
+        finishes.append(len(events))
+        events.append(fast_trace_event(
             label, engine_of[e], begun, t - begun,
             src=src_l[idx], scope=scope_l[idx],
             contention_stall_us=stall, card=0,
-        )
-        events.append(ev0)
-        # only card 0 carries the collective's stall attribution
-        proto = dict(ev0.__dict__)
-        proto["contention_stall_us"] = 0.0
-        for c in replicas:
-            proto["card"] = c
-            ev = new_event(TraceEvent)
-            ev.__dict__.update(proto)
-            events.append(ev)
+        ))
         for consumer in consumers_of[idx]:
             blocked[consumer] -= 1
         done += 1
@@ -1167,9 +1159,9 @@ def _fluid_execute_vector(
     for e, tl0 in enumerate(rep_timelines):
         added = tl0.intervals_since(marks[e])
         if added:
-            for c in replicas:
+            for c in range(1, ncards):
                 card_timelines[c][e].mirror_many(added)
-    return events, stall_total
+    return events, finishes, stall_total
 
 
 #: NIC op kinds the runtime prices through fabric plans
@@ -1306,15 +1298,21 @@ class HLS1Runtime:
                     self.system.fabric_bandwidth, shared=True
                 )
             if _resolve_engine(engine) == "vector":
-                events, stall_total = _fluid_execute_vector(
+                card0, finishes, stall_total = _fluid_execute_vector(
                     cards, schedule, order, t0,
                     shared=True, fabric=fabric, plans=plans, prep=prep,
+                )
+                timeline = Timeline.replicated(
+                    card0, len(cards), finishes, name=schedule.graph.name
                 )
             else:
                 events, stall_total = _fluid_execute(
                     cards, schedule, order, t0,
                     shared=True, fabric=fabric, plans=plans,
                     parts=prep.parts,
+                )
+                timeline = Timeline(
+                    events, name=schedule.graph.name, validate=False
                 )
             if boxes > 1:
                 fabric_busy = fabric.busy_us()
@@ -1338,7 +1336,9 @@ class HLS1Runtime:
                 events.extend(
                     dataclasses.replace(ev, card=c) for ev in replayed
                 )
-        timeline = Timeline(events, name=schedule.graph.name, validate=False)
+            timeline = Timeline(
+                events, name=schedule.graph.name, validate=False
+            )
         # card clocks advance exactly to the last event end (see
         # Runtime.execute); with no events they sit at t0
         total = max(card.now for card in cards)
@@ -1430,7 +1430,8 @@ class HLS1Runtime:
         ``total = (m + pp - 1) * max_s T_mb(s) + max_s tail(s)``
 
         The returned timeline holds one microbatch per stage, stage
-        ``s``'s events shifted onto cards ``[s * stage_cards, ...)``.
+        ``s``'s events shifted onto cards ``[s * stage_cards, ...)``
+        (lazily: the shift is applied when the events are read).
         """
         pp = int(pinfo["pp"])
         microbatches = int(pinfo.get("microbatches", pp) or pp)
@@ -1458,7 +1459,7 @@ class HLS1Runtime:
                 self.system.config, num_cards=stage_cards, boxes=1
             )
 
-        events: list[TraceEvent] = []
+        pieces: list[tuple[Timeline, int]] = []
         mb_times: list[float] = []
         tail_times: list[float] = []
         stall_total = 0.0
@@ -1489,23 +1490,15 @@ class HLS1Runtime:
                 stall_total += result.contention_stall_us
                 fabric_busy += result.fabric_busy_us
                 exposed = max(exposed, result.exposed_comm_us)
-                for ev in result.timeline.events:
-                    events.append(
-                        dataclasses.replace(
-                            ev, card=ev.card + stage * stage_cards
-                        )
-                    )
+                pieces.append((result.timeline, stage * stage_cards))
             mb_times.append(t_mb)
             tail_times.append(max(0.0, t_full - t_mb))
         slot = max(mb_times) if mb_times else 0.0
         total = (microbatches + pp - 1) * slot + (
             max(tail_times) if tail_times else 0.0
         )
-        timeline = Timeline(
-            events, name=schedule.graph.name, validate=False
-        )
         return ExecutionResult(
-            timeline=timeline,
+            timeline=Timeline.on_cards(pieces, name=schedule.graph.name),
             total_time_us=total,
             start_offset_us=0.0,
             schedule=schedule,

@@ -12,7 +12,9 @@ run time per attention variant (Figs 5/6/7).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..hw.costmodel import EngineKind
 from ..hw.des import Interval
@@ -81,8 +83,32 @@ def fast_trace_event(
     return ev
 
 
+class _Part(NamedTuple):
+    """A card-symmetric slice of a lazy :class:`Timeline`.
+
+    ``events`` ran on ``copies`` consecutive cards starting at
+    ``ev.card + first_card``; every copy is the event with only
+    ``card`` changed, except that copies of the events at positions
+    ``collectives`` (collective finishes) carry
+    ``contention_stall_us = 0.0`` — only the first card holds a
+    collective's stall attribution.
+    """
+
+    events: list[TraceEvent]
+    first_card: int
+    copies: int
+    collectives: tuple[int, ...]
+
+
 class Timeline:
-    """An executed trace: events + derived occupancy queries."""
+    """An executed trace: events + derived occupancy queries.
+
+    A multi-card trace can be held *lazily* (:meth:`replicated`,
+    :meth:`on_cards`): one card's events per card-symmetric part, with
+    the per-card copies built on the first read of :attr:`events`, in
+    event-major then card order. Makespan, length and exposed
+    communication are answered from the parts without building them.
+    """
 
     def __init__(
         self,
@@ -95,7 +121,8 @@ class Timeline:
         callers whose events come from engine-timeline reservations,
         which already reject negative durations at reserve time."""
         self.name = name
-        self.events: list[TraceEvent] = []
+        self._events: list[TraceEvent] | None = []
+        self._parts: tuple[_Part, ...] = ()
         if events:
             if validate:
                 for ev in events:
@@ -103,7 +130,60 @@ class Timeline:
                         raise ExecutionError(
                             f"negative duration for event {ev.name!r}"
                         )
-            self.events.extend(events)
+            self._events.extend(events)
+
+    @classmethod
+    def replicated(
+        cls,
+        events: list[TraceEvent],
+        copies: int,
+        collectives: tuple[int, ...] = (),
+        *,
+        name: str = "trace",
+    ) -> "Timeline":
+        """A lazy trace of ``copies`` symmetric cards.
+
+        ``events`` are card 0's (engine-reserved, so not re-validated);
+        ``collectives`` are the positions of its collective finishes.
+        """
+        return cls._lazy(
+            (_Part(events, 0, copies, tuple(collectives)),), name
+        )
+
+    @classmethod
+    def on_cards(
+        cls, pieces: list[tuple["Timeline", int]], *, name: str = "trace"
+    ) -> "Timeline":
+        """Concatenate ``(timeline, card_offset)`` pieces lazily, each
+        moved ``card_offset`` cards up (a pipeline stage's slice)."""
+        return cls._lazy(
+            tuple(
+                part._replace(first_card=part.first_card + offset)
+                for timeline, offset in pieces
+                for part in timeline._card_parts()
+            ),
+            name,
+        )
+
+    @classmethod
+    def _lazy(cls, parts: tuple[_Part, ...], name: str) -> "Timeline":
+        out = cls(name=name)
+        out._events = None
+        out._parts = parts
+        return out
+
+    def _card_parts(self) -> tuple[_Part, ...]:
+        if self._events is None:
+            return self._parts
+        return (_Part(self._events, 0, 1, ()),)
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """Every event, built once on first read of a lazy trace."""
+        if self._events is None:
+            self._events = _materialize(self._parts)
+            self._parts = ()
+        return self._events
 
     def add(self, event: TraceEvent) -> None:
         """Append an event (negative durations are runtime bugs)."""
@@ -116,7 +196,10 @@ class Timeline:
     @property
     def total_time_us(self) -> float:
         """Makespan: last completion time (0 for an empty trace)."""
-        return max((ev.end_us for ev in self.events), default=0.0)
+        return max(
+            (ev.end_us for part in self._card_parts() for ev in part.events),
+            default=0.0,
+        )
 
     def engine_events(
         self, engine: EngineKind, *, card: int | None = None
@@ -151,9 +234,7 @@ class Timeline:
         nic_raw: list[tuple[float, float]] = []
         compute_raw: list[tuple[float, float]] = []
         mme, tpc, nic_kind = EngineKind.MME, EngineKind.TPC, EngineKind.NIC
-        for ev in self.events:
-            if ev.card != card:
-                continue
+        for ev in self._times_on(card):
             engine = ev.engine
             if engine is nic_kind:
                 nic_raw.append((ev.start_us, ev.start_us + ev.dur_us))
@@ -163,6 +244,17 @@ class Timeline:
         compute = _merge_intervals(compute_raw)
         total = sum(hi - lo for lo, hi in nic)
         return total - _overlap_us(nic, compute)
+
+    def _times_on(self, card: int) -> Iterator[TraceEvent]:
+        """Events whose times are ``card``'s, in trace order; on a lazy
+        trace these are the parts' own events (copies differ only in
+        ``card`` and a collective's stall), so none is built."""
+        return (
+            ev
+            for events, first, copies, _ in self._card_parts()
+            for ev in events
+            if 0 <= card - ev.card - first < copies
+        )
 
     def utilization(self, engine: EngineKind) -> float:
         """busy / makespan for ``engine``."""
@@ -365,7 +457,45 @@ class Timeline:
         return json.dumps({"traceEvents": rows, "displayTimeUnit": "ms"})
 
     def __len__(self) -> int:
-        return len(self.events)
+        return sum(len(part.events) * part.copies
+                   for part in self._card_parts())
+
+
+def _materialize(parts: tuple[_Part, ...]) -> list[TraceEvent]:
+    """Build every card's events: part by part, event-major, then card.
+
+    Copies fill a fresh instance ``__dict__`` from the source's fields
+    (see :func:`fast_trace_event`), so each equals the event the eager
+    engine would have emitted on that card.
+    """
+    out: list[TraceEvent] = []
+    append = out.append
+    new_event = TraceEvent.__new__
+    for events, first, copies, collectives in parts:
+        if first == 0 and copies == 1:
+            out.extend(events)
+            continue
+        finishes = set(collectives)
+        for pos, ev in enumerate(events):
+            fields = ev.__dict__
+            card = fields["card"] + first
+            if first:
+                fields = dict(fields)
+                fields["card"] = card
+                ev = new_event(TraceEvent)
+                ev.__dict__.update(fields)
+            append(ev)
+            if copies == 1:
+                continue
+            proto = dict(fields)
+            if pos in finishes:
+                proto["contention_stall_us"] = 0.0
+            for c in range(card + 1, card + copies):
+                proto["card"] = c
+                copy = new_event(TraceEvent)
+                copy.__dict__.update(proto)
+                append(copy)
+    return out
 
 
 def _merge_intervals(

@@ -104,3 +104,32 @@ class TestErrorHierarchy:
         assert err.capacity_bytes == 50
         assert "test" in str(err)
         assert isinstance(err, errors.ReproError)
+
+
+class TestLayoutPlannerValidation:
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            {"tp_grid": (0,)},
+            {"tp_grid": (1, -4)},
+            {"pp_grid": (0,)},
+            {"pp_grid": (1, 2.0)},
+            {"microbatch_grid": (1, 0)},
+        ],
+    )
+    def test_non_positive_grid_entry_rejected(self, grids):
+        from repro.core.auto_layout import auto_layout, enumerate_layouts
+
+        with pytest.raises(errors.ConfigError, match="grid entry"):
+            enumerate_layouts(8, **grids)
+        with pytest.raises(errors.ConfigError, match="grid entry"):
+            auto_layout("gpt", 8, **grids)
+
+    @pytest.mark.parametrize("batch", [0, -8, 2.5, True])
+    def test_bad_batch_rejected(self, batch):
+        from repro.core.auto_layout import LayoutPlanner, run_parallel_study
+
+        with pytest.raises(errors.DataError, match="batch"):
+            LayoutPlanner("gpt", batch=batch)
+        with pytest.raises(errors.DataError, match="batch"):
+            run_parallel_study(batch=batch)
