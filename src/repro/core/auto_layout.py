@@ -255,7 +255,9 @@ def auto_layout(
     Feasible candidates are ranked by simulated aggregate throughput
     — step time alone cannot compare layouts, because candidates at
     the same ``total_cards`` process ``dp * batch`` samples per step
-    and ``dp`` differs between them.
+    and ``dp`` differs between them. Raises
+    :class:`~repro.util.errors.CompileError`, listing every candidate's
+    reason, when no candidate is feasible.
     """
     planner = planner or LayoutPlanner(
         model_name, batch=batch, seq_len=seq_len, hls1=hls1,
@@ -277,7 +279,7 @@ def auto_layout(
     priced = [planner.price(layout) for layout in candidates]
     feasible = [p for p in priced if p.feasible]
     if not feasible:
-        raise DeviceMemoryError(
+        raise CompileError(
             f"every candidate layout for {model_name} on "
             f"{total_cards} cards is infeasible: "
             + "; ".join(f"{p.layout.describe()}: {p.reason}" for p in priced)

@@ -107,9 +107,10 @@ class CollectiveInjectionPass(CompilerPass):
             # wait for the reduced value.
             extra = {coll_for_vid[v] for v in op.reads if v in coll_for_vid}
             index_map[old_index] = len(new_ops)
-            op.index = len(new_ops)
-            op.deps = sorted({*(index_map[d] for d in op.deps), *extra})
-            new_ops.append(op)
+            new_ops.append(op.renumbered(
+                len(new_ops),
+                tuple(sorted({*(index_map[d] for d in op.deps), *extra})),
+            ))
             for b in anchored.get(old_index, ()):
                 vids = [v for _, v, _ in b]
                 elems = sum(
@@ -125,12 +126,12 @@ class CollectiveInjectionPass(CompilerPass):
                     index=len(new_ops),
                     label=f"all_reduce:bucket{n_collectives}",
                     engine=state.backend.collective_engine,
-                    items=[item],
-                    deps=sorted(index_map[i] for i, _, _ in b),
+                    items=(item,),
+                    deps=tuple(sorted(index_map[i] for i, _, _ in b)),
                     src="all_reduce",
                     scope="ddp",
-                    reads=sorted(vids),
-                    writes=[],  # in-place reduction over the gradients
+                    reads=tuple(sorted(vids)),
+                    writes=(),  # in-place reduction over the gradients
                 )
                 new_ops.append(coll)
                 for v in vids:

@@ -42,11 +42,10 @@ class EmitSchedulePass(CompilerPass):
                     index=len(ops),
                     label=f"recompile:{first.op}",
                     engine=state.backend.host_engine,
-                    items=[WorkItem(
+                    items=(WorkItem(
                         f"recompile:{first.op}", OpClass.HOST,
                         fixed_time_us=state.options.recompile_penalty_us,
-                    )],
-                    deps=[],
+                    ),),
                     src=first.src, scope=first.scope,
                 )
                 ops.append(host)
@@ -67,13 +66,13 @@ class EmitSchedulePass(CompilerPass):
                         index=len(ops),
                         label=f"dma:{value.name or vid}",
                         engine=state.backend.dma_engine,
-                        items=[WorkItem(
+                        items=(WorkItem(
                             f"dma:{vid}", OpClass.DATA_MOVE,
                             bytes_read=value.nbytes, pipelined=True,
-                        )],
-                        deps=[prod_idx],
+                        ),),
+                        deps=(prod_idx,),
                         src="dma", scope=first.scope,
-                        reads=[vid],
+                        reads=(vid,),
                     )
                     ops.append(dma)
                     dma_cache[key] = dma.index
@@ -86,13 +85,13 @@ class EmitSchedulePass(CompilerPass):
                 if len(pending.nodes) == 1
                 else f"fused[{'+'.join(n.op for n in pending.nodes)}]",
                 engine=pending.engine,
-                items=pending.items,
-                deps=sorted(set(deps)),
+                items=tuple(pending.items),
+                deps=tuple(sorted(set(deps))),
                 src=first.src,
                 scope=first.scope,
-                reads=sorted(pending.reads),
-                writes=[pending.output_vid],
-                node_ids=[n.nid for n in pending.nodes],
+                reads=tuple(sorted(pending.reads)),
+                writes=(pending.output_vid,),
+                node_ids=tuple(n.nid for n in pending.nodes),
                 external_read_bytes=pending.external_read_bytes,
             )
             ops.append(sched)

@@ -35,6 +35,8 @@ import hashlib
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
+from ...util.errors import ConfigError
+
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from .base import CompilerPass
 
@@ -55,7 +57,7 @@ class PassResultCache:
 
     def __init__(self, maxsize: int = 512):
         if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
+            raise ConfigError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0

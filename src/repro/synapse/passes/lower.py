@@ -27,7 +27,7 @@ class LowerCompositesPass(CompilerPass):
     # the rewrite embeds concrete shapes in the expanded primitives,
     # so the cache key covers the full graph; reuse kicks in when only
     # downstream options change (policy/bucket sweep points), sharing
-    # the lowered graph the way Schedule.clone already shares graphs
+    # the lowered graph the way recipe-cache hits share schedules
     signature_deps = ("structure", "geometry")
     incremental = True
     #: composites found by the most recent ``run`` (record's stats)

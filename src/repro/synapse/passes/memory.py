@@ -39,6 +39,8 @@ recomputed, so later decisions see the updated footprint.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ...hw.costmodel import CostModel, EngineKind, OpClass, WorkItem
 from ...util.errors import CompileError, DeviceMemoryError
 from ...util.units import fmt_bytes
@@ -104,7 +106,7 @@ class MemoryPlanningPass(CompilerPass):
         state.memory = MemoryPlan(
             persistent_bytes=live.persistent_bytes,
             peak_bytes=live.peak_bytes,
-            free_after=dict(live.free_after),
+            free_after=live.free_after,
         )
         state.stats["memory"] = {
             "policy": policy,
@@ -290,13 +292,20 @@ class MemoryPlanningPass(CompilerPass):
 
     @staticmethod
     def _insert(ops: list[ScheduledOp], pos: int, new_op: ScheduledOp) -> None:
-        """Insert ``new_op`` at ``pos``; renumber indices and deps."""
+        """Insert ``new_op`` (built with ``index=pos``) at ``pos``.
+
+        Ops after it are rebuilt one index later with their deps
+        renumbered; ops before it only depend on earlier ops, so they
+        keep their identity.
+        """
+        assert new_op.index == pos, "new op must carry its position"
         assert all(d < pos for d in new_op.deps), "insertion breaks topology"
-        for op in ops:
-            op.deps = [d + 1 if d >= pos else d for d in op.deps]
         ops.insert(pos, new_op)
-        for i, op in enumerate(ops):
-            op.index = i
+        for i in range(pos + 1, len(ops)):
+            op = ops[i]
+            ops[i] = op.renumbered(
+                i, tuple(d + 1 if d >= pos else d for d in op.deps)
+            )
 
     @classmethod
     def _apply_spill(
@@ -310,37 +319,40 @@ class MemoryPlanningPass(CompilerPass):
     ) -> None:
         """Offload ``vid`` after position ``e0``, restore before ``e1``."""
         value = graph.value(vid)
-        out = ScheduledOp(
-            index=0,
+        out_pos = e0 + 1
+        cls._insert(ops, out_pos, ScheduledOp(
+            index=out_pos,
             label=f"spill_out:{value.name or vid}",
             engine=dma_engine,
-            items=[WorkItem(
+            items=(WorkItem(
                 f"spill_out:{vid}", OpClass.DATA_MOVE,
                 bytes_read=value.nbytes, pipelined=False,
-            )],
-            deps=[e0],
+            ),),
+            deps=(e0,),
             src="spill", scope=ops[e0].scope,
-            reads=[vid],
-        )
-        cls._insert(ops, e0 + 1, out)
+            reads=(vid,),
+        ))
         # every position >= e0 + 1 shifted by one: the consumer is at
         # e1 + 1 and the restore goes right before it
-        restore = ScheduledOp(
-            index=0,
+        in_pos = e1 + 1
+        cls._insert(ops, in_pos, ScheduledOp(
+            index=in_pos,
             label=f"spill_in:{value.name or vid}",
             engine=dma_engine,
-            items=[WorkItem(
+            items=(WorkItem(
                 f"spill_in:{vid}", OpClass.DATA_MOVE,
                 bytes_written=value.nbytes, pipelined=False,
-            )],
-            deps=[out.index],
-            src="spill", scope=ops[e1 + 1].scope,
-            writes=[vid],
-        )
-        cls._insert(ops, e1 + 1, restore)
-        for op in ops[restore.index + 1:]:
-            if vid in op.reads and restore.index not in op.deps:
-                op.deps = sorted(set(op.deps) | {restore.index})
+            ),),
+            deps=(out_pos,),
+            src="spill", scope=ops[in_pos].scope,
+            writes=(vid,),
+        ))
+        for i in range(in_pos + 1, len(ops)):
+            op = ops[i]
+            if vid in op.reads and in_pos not in op.deps:
+                ops[i] = replace(
+                    op, deps=tuple(sorted(set(op.deps) | {in_pos}))
+                )
 
     @classmethod
     def _apply_recompute(
@@ -353,22 +365,24 @@ class MemoryPlanningPass(CompilerPass):
         """Clone ``cone`` (producers first) immediately before ``at``."""
         pos = at
         for orig in cone:
-            clone = orig.clone()
-            clone.label = f"recompute:{orig.label}"
-            clone.src = "recompute"
             deps = []
-            for r in clone.reads:
+            for r in orig.reads:
                 for i in range(pos - 1, -1, -1):
                     if r in ops[i].writes:
                         deps.append(i)
                         break
-            clone.deps = sorted(set(deps))
-            cls._insert(ops, pos, clone)
+            cls._insert(ops, pos, replace(
+                orig, index=pos, label=f"recompute:{orig.label}",
+                src="recompute", deps=tuple(sorted(set(deps))),
+            ))
             pos += 1
         rewritten = {
             w: at + off for off, orig in enumerate(cone) for w in orig.writes
         }
-        for op in ops[pos:]:
+        for i in range(pos, len(ops)):
+            op = ops[i]
             extra = {idx for w, idx in rewritten.items() if w in op.reads}
             if extra - set(op.deps):
-                op.deps = sorted(set(op.deps) | extra)
+                ops[i] = replace(
+                    op, deps=tuple(sorted(set(op.deps) | extra))
+                )

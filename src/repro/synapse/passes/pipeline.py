@@ -150,75 +150,63 @@ class PipelinePartitionPass(CompilerPass):
         stage_final: list[int] = []
 
         def _append(op: ScheduledOp, s: int) -> None:
-            op.index = len(new_ops)
+            assert op.index == len(new_ops)
             new_ops.append(op)
             stage_final.append(s)
 
         def _boundary(b: int) -> None:
-            vids = crossing[b]
+            vids = tuple(crossing[b])
             elems = max(1, -(-boundary_bytes[b] // itemsize(DType.FP32)))
             deps = sorted(
                 {index_map[producer_of[v]] for v in vids}
                 | ({recv_at[b - 1]} if b - 1 in recv_at else set())
             )
             send = ScheduledOp(
-                index=0, label=f"send:stage{b}",
+                index=len(new_ops), label=f"send:stage{b}",
                 engine=collective_engine,
-                items=[work_item_for(
+                items=(work_item_for(
                     "send", [(elems,)], (elems,), DType.FP32, {},
                     label=f"send:stage{b}",
-                )],
-                deps=deps, src="send", scope="pp", reads=list(vids),
+                ),),
+                deps=tuple(deps), src="send", scope="pp", reads=vids,
             )
             _append(send, b)
             recv = ScheduledOp(
-                index=0, label=f"recv:stage{b + 1}",
+                index=len(new_ops), label=f"recv:stage{b + 1}",
                 engine=collective_engine,
-                items=[work_item_for(
+                items=(work_item_for(
                     "recv", [(elems,)], (elems,), DType.FP32, {},
                     label=f"recv:stage{b + 1}",
-                )],
-                deps=[send.index], src="recv", scope="pp",
-                reads=list(vids),
+                ),),
+                deps=(send.index,), src="recv", scope="pp", reads=vids,
             )
             _append(recv, b + 1)
             recv_at[b] = recv.index
 
+        def _carry(op: ScheduledOp) -> None:
+            """Re-emit ``op`` at the end with deps remapped; a reader
+            of an earlier stage's value also waits on its recv."""
+            s = stage_of_old[op.index]
+            index_map[op.index] = len(new_ops)
+            deps = {index_map[d] for d in op.deps if d in index_map} | {
+                recv_at[s - 1] for v in op.reads
+                if s > 0 and producer_stage.get(v, s) < s
+                and (s - 1) in recv_at
+            }
+            _append(op.renumbered(len(new_ops), tuple(sorted(deps))), s)
+
         current = 0
         for op in body:
-            s = stage_of_old[op.index]
-            while current < s:
+            while current < stage_of_old[op.index]:
                 _boundary(current)
                 current += 1
-            clone = op.clone()
-            index_map[op.index] = len(new_ops)
-            clone.deps = sorted(
-                {index_map[d] for d in op.deps if d in index_map}
-                | {
-                    recv_at[s - 1] for v in op.reads
-                    if s > 0 and producer_stage.get(v, s) < s
-                    and (s - 1) in recv_at
-                }
-            )
-            _append(clone, s)
+            _carry(op)
         while current < pp - 1:  # degenerate: empty trailing stages
             _boundary(current)
             current += 1
         for op in ops:
-            if op.index not in tail:
-                continue
-            s = stage_of_old[op.index]
-            clone = op.clone()
-            index_map[op.index] = len(new_ops)
-            clone.deps = sorted(
-                {index_map[d] for d in op.deps if d in index_map}
-                | {
-                    recv_at[s - 1] for v in op.reads
-                    if s > 0 and producer_stage.get(v, s) < s
-                    and (s - 1) in recv_at
-                }
-            )
-            _append(clone, s)
+            if op.index in tail:
+                _carry(op)
         state.ops = new_ops
 
         state.stats["pipeline"] = {

@@ -28,6 +28,9 @@ replicated and are priced at full size on every card.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+from ...hw.costmodel import WorkItem
 from ..ops import work_item_for
 from ..schedule import ScheduledOp
 from .base import CompilerPass
@@ -66,7 +69,7 @@ class TensorParallelPass(CompilerPass):
 
         # Decide the sharding of every single-node MME matmul first;
         # the rebuild below then weaves in the collectives.
-        plans: dict[int, tuple[ScheduledOp, str | None]] = {}
+        plans: dict[int, tuple[WorkItem, str | None]] = {}
         shard_vids: list[int] = []
         sharded = 0
         for op in state.ops:
@@ -116,9 +119,7 @@ class TensorParallelPass(CompilerPass):
                 "matmul", [new_a, new_b], new_out, out.dtype, node.attrs,
                 label=op.items[0].name, opdef=matmul_def,
             )
-            shard_op = op.clone()
-            shard_op.items = [item]
-            plans[op.index] = (shard_op, coll)
+            plans[op.index] = (item, coll)
             sharded += 1
             if coll is None:
                 shard_vids.append(out_storage)
@@ -140,15 +141,15 @@ class TensorParallelPass(CompilerPass):
         comm_bytes = 0
         for op in state.ops:
             old_index = op.index
-            shard_op, coll = plans.get(old_index, (op, None))
-            extra = {
-                coll_for_vid[v] for v in shard_op.reads if v in coll_for_vid
-            }
+            item, coll = plans.get(old_index, (None, None))
+            extra = {coll_for_vid[v] for v in op.reads if v in coll_for_vid}
             index_map[old_index] = len(new_ops)
-            shard_op.index = len(new_ops)
-            shard_op.deps = sorted(
-                {*(index_map[d] for d in shard_op.deps), *extra}
+            shard_op = op.renumbered(
+                len(new_ops),
+                tuple(sorted({*(index_map[d] for d in op.deps), *extra})),
             )
+            if item is not None:
+                shard_op = replace(shard_op, items=(item,))
             new_ops.append(shard_op)
             if coll is None:
                 continue
@@ -174,12 +175,12 @@ class TensorParallelPass(CompilerPass):
                 index=len(new_ops),
                 label=item.name,
                 engine=state.backend.collective_engine,
-                items=[item],
-                deps=[shard_op.index],
+                items=(item,),
+                deps=(shard_op.index,),
                 src=coll,
                 scope="tp",
-                reads=[out_vid],
-                writes=[],  # gathers/reduces in place
+                reads=(out_vid,),
+                writes=(),  # gathers/reduces in place
             )
             new_ops.append(nic)
             coll_for_vid[out_vid] = nic.index

@@ -22,10 +22,13 @@ or CLI invocations skip recompilation across processes, the way
 SynapseAI's on-disk recipe store does. Corrupt or unreadable blobs
 degrade to a plain miss.
 
-The cache clones on both put and get, so hits are isolated: a caller
-mutating a returned schedule (its ``stats``, ``memory`` plan, or ops)
-cannot poison later hits, and the compiler mutating the schedule it
-just stored cannot either.
+Compiled schedules are immutable at every depth (see
+:mod:`repro.synapse.schedule`), so the cache stores and returns the
+very object the compiler built — disk hits included. Any attempt to
+mutate a returned schedule (its ``stats``, ``memory`` plan, or ops)
+raises, which is what keeps one caller from poisoning later hits; and
+because every hit is the same object, the runtime state cached on it
+(cost prep, pipeline stage sub-schedules) is reused across hits.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..util.errors import GraphError
+from ..util.errors import ConfigError, GraphError
 from .graph import Graph
 from .schedule import Schedule
 from .serialize import schedule_from_json, schedule_to_json
@@ -206,7 +209,7 @@ class RecipeCache:
         self, maxsize: int = 32, save_dir: "str | Path | None" = None
     ):
         if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
+            raise ConfigError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
@@ -279,12 +282,11 @@ class RecipeCache:
             pass  # persistence is best-effort
 
     def get(self, key: str) -> Schedule | None:
-        """A private copy of the cached schedule, or None.
+        """The cached (frozen, shared) schedule, or None.
 
-        Returns a clone so callers can mutate their schedule without
-        corrupting the cached recipe (counts hit/miss). A memory miss
-        checks the on-disk store (when configured) before giving up;
-        a disk hit repopulates the memory tier.
+        Every hit returns the same object (counts hit/miss). A memory
+        miss checks the on-disk store (when configured) before giving
+        up; a disk hit repopulates the memory tier.
         """
         entry = self._entries.get(key)
         if entry is None:
@@ -301,16 +303,16 @@ class RecipeCache:
         self._entries.move_to_end(key)
         self.hits += 1
         _global_stats["hits"] += 1
-        return entry.clone()
+        return entry
 
     def put(self, key: str, schedule: Schedule) -> None:
         """Insert a compiled schedule, evicting the LRU entry if full.
 
-        Stores a clone: the caller keeps exclusive ownership of the
-        object it passed in. With persistence on, also writes the
+        Stores the object itself: it is frozen, so the caller and every
+        later hit share it safely. With persistence on, also writes the
         signature-keyed blob (atomically: write-temp + rename).
         """
-        self._entries[key] = schedule.clone()
+        self._entries[key] = schedule
         self._entries.move_to_end(key)
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)

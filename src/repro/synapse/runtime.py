@@ -569,8 +569,9 @@ class _SchedulePrep:
     uncontended durations, the dependency graph, and the flat per-op
     lists the vector loop indexes instead of walking ``ScheduledOp``
     attributes. Caching it on the schedule (keyed by config value) means
-    repeated executes — profiler warm iterations, card-count sweeps,
-    benchmark rounds — pay the cost walk once.
+    repeated executes — profiler warm iterations, recipe-cache hits,
+    card-count sweeps, benchmark rounds — pay the cost walk once per
+    recipe.
     """
 
     __slots__ = (
@@ -625,14 +626,12 @@ def _schedule_prep(schedule: Schedule, cost: CostModel) -> _SchedulePrep:
     Keyed by the config's canonical ``repr`` (the same value-form
     :func:`~repro.synapse.recipe.recipe_key` hashes), so two devices
     with equal calibration share one prep and a different calibration
-    can never alias a stale one. Compiled schedules are immutable after
-    compilation (the recipe cache clones to enforce it), which is what
-    makes attaching derived state to them safe.
+    can never alias a stale one. The cache lives in the schedule's
+    instance ``__dict__``: compiled schedules are frozen at every depth
+    and the recipe cache hands every hit the same object, so one prep
+    serves every execute of a recipe.
     """
-    cache = schedule.__dict__.get("_runtime_prep")
-    if cache is None:
-        cache = {}
-        schedule.__dict__["_runtime_prep"] = cache
+    cache = schedule.__dict__.setdefault("_runtime_prep", {})
     key = repr(cost.config)
     prep = cache.get(key)
     if prep is None:
@@ -1229,6 +1228,51 @@ def collective_plans(
     return plans
 
 
+def build_stage_schedule(
+    schedule: Schedule, stage: int, *, drop_tail: bool = False
+) -> Schedule:
+    """The reindexed sub-schedule of ``stage``'s ops, built afresh.
+
+    Stages come from the compiled ``stats["pipeline"]["stage_of"]``
+    map. Cross-stage deps vanish (the fill/drain composition accounts
+    for inter-stage waiting); with ``drop_tail`` the stage's DDP
+    gradient collectives and their downstream closure (the optimizer
+    slice) are removed too — that variant times one steady-state
+    microbatch.
+    """
+    stage_of = schedule.stats["pipeline"]["stage_of"]
+    keep = [op for i, op in enumerate(schedule.ops) if stage_of[i] == stage]
+    if drop_tail:
+        consumers: dict[int, list[int]] = {}
+        for op in keep:
+            for dep in op.deps:
+                consumers.setdefault(dep, []).append(op.index)
+        tail: set[int] = set()
+        frontier = [
+            op.index for op in keep
+            if op.engine is EngineKind.NIC and op.scope == "ddp"
+        ]
+        while frontier:
+            idx = frontier.pop()
+            if idx in tail:
+                continue
+            tail.add(idx)
+            frontier.extend(consumers.get(idx, ()))
+        keep = [op for op in keep if op.index not in tail]
+    remap = {op.index: i for i, op in enumerate(keep)}
+    ops = [
+        op.renumbered(
+            remap[op.index],
+            tuple(sorted(remap[d] for d in op.deps if d in remap)),
+        )
+        for op in keep
+    ]
+    stats = {k: v for k, v in schedule.stats.items() if k != "pipeline"}
+    return Schedule(
+        graph=schedule.graph, ops=ops, memory=schedule.memory, stats=stats,
+    )
+
+
 class HLS1Runtime:
     """Executes one data-parallel schedule on every card of an HLS-1.
 
@@ -1355,58 +1399,25 @@ class HLS1Runtime:
             fabric_busy_us=fabric_busy,
         )
 
+    @staticmethod
     def _stage_schedule(
-        self,
-        schedule: Schedule,
-        stage_of: list[int],
-        stage: int,
-        *,
-        drop_tail: bool = False,
+        schedule: Schedule, stage: int, *, drop_tail: bool = False
     ) -> Schedule:
-        """The reindexed sub-schedule of ``stage``'s ops.
+        """:func:`build_stage_schedule`, built once per ``(stage,
+        drop_tail)`` and cached on the (frozen) parent schedule.
 
-        Cross-stage deps vanish (the fill/drain composition accounts
-        for inter-stage waiting); with ``drop_tail`` the stage's DDP
-        gradient collectives and their downstream closure (the
-        optimizer slice) are removed too — that variant times one
-        steady-state microbatch.
+        The sub-schedule is frozen like any compiled schedule and
+        keeps its own runtime prep, so every execute of one recipe
+        reuses both.
         """
-        keep = [
-            op for i, op in enumerate(schedule.ops) if stage_of[i] == stage
-        ]
-        if drop_tail:
-            consumers: dict[int, list[int]] = {}
-            for op in keep:
-                for dep in op.deps:
-                    consumers.setdefault(dep, []).append(op.index)
-            tail: set[int] = set()
-            frontier = [
-                op.index for op in keep
-                if op.engine is EngineKind.NIC and op.scope == "ddp"
-            ]
-            while frontier:
-                idx = frontier.pop()
-                if idx in tail:
-                    continue
-                tail.add(idx)
-                frontier.extend(consumers.get(idx, ()))
-            keep = [op for op in keep if op.index not in tail]
-        remap = {op.index: i for i, op in enumerate(keep)}
-        ops = []
-        for op in keep:
-            clone = op.clone()
-            clone.index = remap[op.index]
-            clone.deps = sorted(
-                remap[d] for d in op.deps if d in remap
+        cache = schedule.__dict__.setdefault("_stage_schedules", {})
+        key = (stage, drop_tail)
+        sub = cache.get(key)
+        if sub is None:
+            sub = cache[key] = build_stage_schedule(
+                schedule, stage, drop_tail=drop_tail
             )
-            ops.append(clone)
-        stats = {
-            k: v for k, v in schedule.stats.items() if k != "pipeline"
-        }
-        return Schedule(
-            graph=schedule.graph, ops=ops, memory=schedule.memory,
-            stats=stats,
-        )
+        return sub
 
     def _execute_pipelined(
         self,
@@ -1435,7 +1446,7 @@ class HLS1Runtime:
         """
         pp = int(pinfo["pp"])
         microbatches = int(pinfo.get("microbatches", pp) or pp)
-        stage_of = list(pinfo["stage_of"])
+        stage_of = pinfo["stage_of"]
         if len(stage_of) != len(schedule.ops):
             raise ExecutionError(
                 "pipeline stage map does not match the schedule "
@@ -1470,10 +1481,8 @@ class HLS1Runtime:
             scheduler=scheduler, engine=engine,
         )
         for stage in range(pp):
-            full = self._stage_schedule(schedule, stage_of, stage)
-            body = self._stage_schedule(
-                schedule, stage_of, stage, drop_tail=True
-            )
+            full = self._stage_schedule(schedule, stage)
+            body = self._stage_schedule(schedule, stage, drop_tail=True)
             # each run starts a fresh device slice at t=0, so the full
             # stage time minus the tail-free time isolates the tail
             t_mb = 0.0

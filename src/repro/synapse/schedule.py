@@ -1,22 +1,62 @@
 """Compiled-schedule data structures.
 
 The GraphCompiler turns a (lowered) graph into a :class:`Schedule`: a
-program-ordered list of :class:`ScheduledOp` — compute ops tagged with
+program-ordered tuple of :class:`ScheduledOp` — compute ops tagged with
 their engine and :class:`~repro.hw.costmodel.WorkItem`, interleaved
 with the DMA staging transfers and host recompilation events the
 compiler inserted. The runtime only sees this structure.
+
+Compiled schedules are immutable at every depth: ops are frozen with
+tuple fields, ``Schedule.ops`` is a tuple, and the memory plan's
+``free_after`` and the ``stats`` tree are read-only mappings (lists in
+them become tuples). That is what lets the recipe cache hand every hit
+the same object, and lets the runtime attach derived state (its cost
+prep, the pipeline's stage sub-schedules) to a schedule once and reuse
+it for as long as the schedule lives. Passes that edit ops build new
+ones with :func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
 
-import copy
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 from ..hw.costmodel import EngineKind, WorkItem
 from .graph import Graph
 
 
-@dataclass
+class FrozenDict(dict):
+    """A read-only ``dict``: compares, iterates and JSON-encodes like a
+    plain one, but every mutator raises ``TypeError``."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        """Refuse the mutation: compiled schedule data is read-only."""
+        raise TypeError("compiled schedule data is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        # rebuild from a plain dict: pickle and copy would otherwise
+        # refill the new instance through the blocked ``__setitem__``
+        return (FrozenDict, (dict(self),))
+
+
+def _freeze(value):
+    """A read-only deep copy: dicts become :class:`FrozenDict`, lists
+    and tuples become tuples, everything else is kept as is."""
+    if isinstance(value, FrozenDict):
+        return value
+    if isinstance(value, dict):
+        return FrozenDict({k: _freeze(v) for k, v in value.items()})
+    if type(value) in (list, tuple):
+        return tuple(_freeze(v) for v in value)
+    return value
+
+
+@dataclass(frozen=True, slots=True)
 class ScheduledOp:
     """One schedulable unit (possibly a fused elementwise chain)."""
 
@@ -24,17 +64,17 @@ class ScheduledOp:
     label: str
     engine: EngineKind
     #: the member work items; length > 1 only for fused chains
-    items: list[WorkItem]
+    items: tuple[WorkItem, ...]
     #: indices of ScheduledOps that must complete first
-    deps: list[int] = field(default_factory=list)
+    deps: tuple[int, ...] = ()
     src: str = ""
     scope: str = ""
     #: value ids this op reads / produces (memory planning); DMA and
     #: host ops reference the staged value via ``reads``
-    reads: list[int] = field(default_factory=list)
-    writes: list[int] = field(default_factory=list)
+    reads: tuple[int, ...] = ()
+    writes: tuple[int, ...] = ()
     #: node ids of the graph nodes folded into this op
-    node_ids: list[int] = field(default_factory=list)
+    node_ids: tuple[int, ...] = ()
     #: HBM bytes read from outside the op across *all* members — for a
     #: fused chain this includes external inputs feeding middle members,
     #: which the first member's ``bytes_read`` alone misses. ``None``
@@ -52,19 +92,17 @@ class ScheduledOp:
         """Total arithmetic work."""
         return sum(item.flops for item in self.items)
 
-    def clone(self) -> "ScheduledOp":
-        """Copy with fresh mutable containers (items are frozen)."""
-        return replace(
-            self,
-            items=list(self.items),
-            deps=list(self.deps),
-            reads=list(self.reads),
-            writes=list(self.writes),
-            node_ids=list(self.node_ids),
-        )
+    def renumbered(self, index: int, deps: tuple[int, ...]) -> "ScheduledOp":
+        """This op at schedule position ``index`` waiting on ``deps``;
+        the op itself when neither changes (passes that insert ops
+        renumber every op after the insertion point, most of the rest
+        stay put)."""
+        if index == self.index and deps == self.deps:
+            return self
+        return replace(self, index=index, deps=deps)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoryPlan:
     """Liveness result over the schedule order."""
 
@@ -73,22 +111,39 @@ class MemoryPlan:
     #: peak live bytes including activations
     peak_bytes: int
     #: schedule index after which each value id can be freed
-    free_after: dict[int, int]
+    free_after: Mapping[int, int]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.free_after, FrozenDict):
+            object.__setattr__(
+                self, "free_after", FrozenDict(self.free_after)
+            )
 
     def fits(self, capacity_bytes: int) -> bool:
         """Whether the plan fits the given HBM capacity."""
         return self.peak_bytes <= capacity_bytes
 
 
-@dataclass
+@dataclass(frozen=True)
 class Schedule:
-    """The compiler's output: ops in program order plus bookkeeping."""
+    """The compiler's output: ops in program order plus bookkeeping.
+
+    Construction freezes ``ops`` to a tuple and ``stats`` to a
+    read-only tree (dicts become :class:`FrozenDict`, lists become
+    tuples). Derived runtime state is cached in the instance
+    ``__dict__``, outside the dataclass fields, so it never takes part
+    in equality or serialization.
+    """
 
     graph: Graph
-    ops: list[ScheduledOp]
+    ops: tuple[ScheduledOp, ...]
     memory: MemoryPlan
     #: compiler statistics for reports
-    stats: dict = field(default_factory=dict)
+    stats: Mapping = field(default_factory=FrozenDict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ops", tuple(self.ops))
+        object.__setattr__(self, "stats", _freeze(self.stats))
 
     def engine_queue(self, engine: EngineKind) -> list[ScheduledOp]:
         """This engine's ops in program (issue) order."""
@@ -97,25 +152,6 @@ class Schedule:
     def total_flops(self) -> float:
         """Arithmetic work across all ops."""
         return sum(op.flops for op in self.ops)
-
-    def clone(self) -> "Schedule":
-        """A cache-isolation copy: every mutable layer is duplicated.
-
-        The graph is shared (compilation and execution treat it as
-        immutable); ops, the memory plan, and stats are copied so a
-        caller mutating one compile's output cannot poison another
-        (the recipe cache relies on this).
-        """
-        return Schedule(
-            graph=self.graph,
-            ops=[op.clone() for op in self.ops],
-            memory=MemoryPlan(
-                persistent_bytes=self.memory.persistent_bytes,
-                peak_bytes=self.memory.peak_bytes,
-                free_after=dict(self.memory.free_after),
-            ),
-            stats=copy.deepcopy(self.stats),
-        )
 
     def __len__(self) -> int:
         return len(self.ops)

@@ -234,8 +234,10 @@ def schedule_to_json(schedule: Schedule) -> str:
 def schedule_from_json(text: str) -> Schedule:
     """Reconstruct a schedule serialized by :func:`schedule_to_json`.
 
-    Raises :class:`~repro.util.errors.GraphError` on malformed input —
-    the recipe cache treats that as a plain miss.
+    The result is frozen like a fresh compile, so the recipe cache
+    shares a disk hit the same way. Raises
+    :class:`~repro.util.errors.GraphError` on malformed input — the
+    recipe cache treats that as a plain miss.
     """
     try:
         payload = json.loads(text)
@@ -254,13 +256,13 @@ def schedule_from_json(text: str) -> Schedule:
                 index=spec["index"],
                 label=spec["label"],
                 engine=EngineKind(spec["engine"]),
-                items=[_decode_work_item(i) for i in spec["items"]],
-                deps=list(spec.get("deps", [])),
+                items=tuple(_decode_work_item(i) for i in spec["items"]),
+                deps=tuple(spec.get("deps", ())),
                 src=spec.get("src", ""),
                 scope=spec.get("scope", ""),
-                reads=[vid_map[v] for v in spec.get("reads", [])],
-                writes=[vid_map[v] for v in spec.get("writes", [])],
-                node_ids=[nid_map[n] for n in spec.get("node_ids", [])],
+                reads=tuple(vid_map[v] for v in spec.get("reads", ())),
+                writes=tuple(vid_map[v] for v in spec.get("writes", ())),
+                node_ids=tuple(nid_map[n] for n in spec.get("node_ids", ())),
                 external_read_bytes=spec.get("external_read_bytes"),
             )
             for spec in payload["ops"]

@@ -14,6 +14,7 @@ Covers the contended memory model end to end:
   ``hbm_contention=False`` toggle replays the legacy path.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -204,7 +205,7 @@ class TestFusedChainTraffic:
     def test_fallback_for_unannotated_ops(self):
         schedule = self._chain_schedule()
         op = next(op for op in schedule.ops if len(op.items) >= 3)
-        import dataclasses
+        # compiled ops are frozen: derive the unannotated variant
         legacy = dataclasses.replace(op, external_read_bytes=None)
         assert fused_chain_traffic_bytes(legacy) == (
             op.items[0].bytes_read + op.items[-1].bytes_written

@@ -19,12 +19,14 @@ from repro.synapse import GraphCompiler, default_compiler_options
 from repro.synapse.lint import lint_passes
 from repro.synapse.passes import (
     CompilerPass,
+    PassResultCache,
     default_passes,
     pass_cache_stats,
     reset_pass_cache,
 )
 from repro.synapse.recipe import geometry_signature, structure_signature
 from repro.synapse.serialize import schedule_to_json
+from repro.util.errors import ConfigError
 
 
 @pytest.fixture(autouse=True)
@@ -151,6 +153,10 @@ class TestIncrementalReuse:
         cold = compile_graph(record_step(batch), incremental=False)
         warm = compile_graph(record_step(batch), incremental=True)
         assert canonical(warm) == canonical(cold)
+
+    def test_maxsize_must_be_positive(self):
+        with pytest.raises(ConfigError, match="maxsize"):
+            PassResultCache(maxsize=0)
 
 
 class TestPassDeclarationLint:

@@ -10,6 +10,7 @@ identical to a fresh one.
 """
 
 import numpy as np
+import pytest
 
 from repro import ht
 from repro.core.e2e_llm import record_training_step
@@ -23,6 +24,8 @@ from repro.synapse import (
     graph_signature,
     recipe_key,
 )
+from repro.synapse.serialize import schedule_to_json
+from repro.util.errors import ConfigError
 
 
 def record_program(scale=1.0, rows=4, name="prog"):
@@ -84,9 +87,9 @@ class TestCompilerCaching:
         assert compiler.last_cache_hit is False
         second = compiler.compile(record_program().graph)
         assert compiler.last_cache_hit is True
-        # a hit replays the recipe as a private clone, never the cached
-        # object itself (callers may mutate what they get back)
-        assert second is not first
+        # a hit returns the cached recipe itself: compiled schedules
+        # are frozen, so every caller can share one object
+        assert second is first
         assert [op.label for op in second.ops] == [op.label for op in first.ops]
         assert second.stats["passes"] == first.stats["passes"]
         assert compiler.cache.hits == 1 and compiler.cache.misses == 1
@@ -128,35 +131,55 @@ class TestCompilerCaching:
         assert compiler.last_cache_hit is False
 
     def test_hits_are_mutation_isolated(self):
-        """Regression: the cache used to hand every hit the same
-        Schedule object, so one caller mutating its schedule (stats,
-        memory plan, op lists) silently poisoned every later hit."""
+        """Regression: a caller mutating its schedule (stats, memory
+        plan, op lists) once silently poisoned every later hit. Hits
+        are shared now, so every such mutation must raise instead."""
         compiler = GraphCompiler()
         graph = record_program().graph
         first = compiler.compile(graph)
-        first.stats["passes"].append({"pass": "poisoned"})
-        first.stats["poison"] = True
-        first.memory.free_after[-1] = 123456
-        first.ops[0].deps.append(999)
-        dropped = first.ops.pop()
+        snapshot = schedule_to_json(first)
+        mutations = {
+            "stats item": lambda: first.stats.__setitem__("poison", True),
+            "stats list": lambda: first.stats["passes"].append({}),
+            "nested stats": lambda: first.stats["memory"].update(a=1),
+            "stats entry": lambda: first.stats["passes"][0].pop("pass"),
+            "free_after": lambda: first.memory.free_after.__setitem__(
+                -1, 123456
+            ),
+            "op deps": lambda: first.ops[0].deps.append(999),
+            "op field": lambda: setattr(first.ops[0], "index", 7),
+            "ops pop": lambda: first.ops.pop(),
+            "ops clear": lambda: first.ops.clear(),
+            "schedule field": lambda: setattr(first, "stats", {}),
+            "memory field": lambda: setattr(first.memory, "peak_bytes", 0),
+        }
+        for name, mutate in mutations.items():
+            with pytest.raises((TypeError, AttributeError)):
+                mutate()
+                pytest.fail(f"mutating {name} did not raise")
         second = compiler.compile(graph)
         assert compiler.last_cache_hit is True
-        assert {"pass": "poisoned"} not in second.stats["passes"]
-        assert "poison" not in second.stats
-        assert -1 not in second.memory.free_after
-        assert 999 not in second.ops[0].deps
-        assert second.ops[-1].label == dropped.label
+        assert schedule_to_json(second) == snapshot
 
     def test_stored_schedule_not_aliased_by_compiler(self):
         """The object the compiler returns on a miss is the one it just
-        stored — mutating it must not corrupt the cached recipe."""
+        stored — so it must refuse mutation, and a later hit must
+        equal it."""
         compiler = GraphCompiler()
         graph = record_program().graph
         miss = compiler.compile(graph)
-        miss.ops.clear()
+        snapshot = schedule_to_json(miss)
+        with pytest.raises(AttributeError):
+            miss.ops.clear()
         hit = compiler.compile(graph)
         assert compiler.last_cache_hit is True
+        assert hit is miss
         assert len(hit.ops) > 0
+        assert schedule_to_json(hit) == snapshot
+
+    def test_maxsize_must_be_positive(self):
+        with pytest.raises(ConfigError, match="maxsize"):
+            RecipeCache(maxsize=0)
 
     def test_cache_info_counters(self):
         cache = RecipeCache(maxsize=4)
@@ -237,6 +260,25 @@ class TestDiskPersistence:
         b = Runtime(GaudiDevice()).execute(second, reorder=True)
         assert a.total_time_us == b.total_time_us
         assert len(a.timeline.events) == len(b.timeline.events)
+
+    def test_disk_hit_is_frozen_and_shared(self, tmp_path):
+        self._compile(RecipeCache(save_dir=tmp_path))
+        cache = RecipeCache(save_dir=tmp_path)
+        compiler, loaded = self._compile(cache)
+        assert cache.disk_hits == 1
+        assert isinstance(loaded.ops, tuple)
+        assert all(isinstance(op.deps, tuple) for op in loaded.ops)
+        with pytest.raises(TypeError):
+            loaded.stats["poison"] = True
+        with pytest.raises(TypeError):
+            loaded.stats["passes"][0]["pass"] = "poisoned"
+        with pytest.raises(TypeError):
+            loaded.memory.free_after[-1] = 0
+        with pytest.raises(AttributeError):
+            loaded.ops[0].deps.append(999)
+        # the memory tier now holds the loaded object itself
+        assert compiler.compile(record_program().graph) is loaded
+        assert cache.disk_hits == 1 and cache.hits == 2
 
     def test_corrupt_blob_is_a_plain_miss(self, tmp_path):
         self._compile(RecipeCache(save_dir=tmp_path))

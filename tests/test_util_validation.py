@@ -125,6 +125,28 @@ class TestLayoutPlannerValidation:
         with pytest.raises(errors.ConfigError, match="grid entry"):
             auto_layout("gpt", 8, **grids)
 
+    def test_every_layout_infeasible_raises_typed_error(self, monkeypatch):
+        """A grid whose every candidate prices infeasible raises a typed
+        error that names each layout with its reason."""
+        from repro.core.auto_layout import (
+            LayoutPlanner,
+            LayoutPricing,
+            auto_layout,
+        )
+
+        monkeypatch.setattr(
+            LayoutPlanner, "price",
+            lambda self, layout: LayoutPricing(
+                layout, None, "exceeds HBM capacity"
+            ),
+        )
+        with pytest.raises(errors.CompileError) as exc:
+            auto_layout("gpt", 8, tp_grid=(1, 2), pp_grid=(1,))
+        message = str(exc.value)
+        assert "every candidate layout for gpt on 8 cards" in message
+        assert "tp1·pp1·dp8: exceeds HBM capacity" in message
+        assert "tp2·pp1·dp4: exceeds HBM capacity" in message
+
     @pytest.mark.parametrize("batch", [0, -8, 2.5, True])
     def test_bad_batch_rejected(self, batch):
         from repro.core.auto_layout import LayoutPlanner, run_parallel_study
