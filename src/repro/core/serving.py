@@ -36,9 +36,9 @@ time-to-first-token at equal-or-better throughput.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
+import numbers
 import tempfile
 from collections import deque
 from dataclasses import dataclass, field
@@ -57,6 +57,7 @@ from ..synapse.serving import ServingRuntime
 from ..util.errors import ConfigError, DataError, ExecutionError
 from ..util.rng import make_rng
 from ..util.tabulate import render_table
+from ..util.validation import check_positive_int
 from .reference import ShapeCheck, threshold_check
 
 #: context/prompt lengths quantize up to multiples of this (the recipe
@@ -120,6 +121,11 @@ class Request:
     finish_reason: str | None = None
     #: admission-time reservation: the quantized worst-case KV bytes
     reserved_kv_bytes: int = 0
+    #: ``generated`` count at which decode stops — the output length or
+    #: the cache-full boundary, whichever comes first (set at prefill)
+    _decode_stop: int = field(
+        default=0, init=False, repr=False, compare=False
+    )
 
     @property
     def ttft_us(self) -> float:
@@ -147,11 +153,21 @@ def generate_requests(
     seed)`` — the determinism the byte-identical JSONL property
     rests on.
     """
-    if num_requests < 1:
-        raise DataError(f"num_requests must be >= 1, got {num_requests}")
-    if arrival_rate_per_s <= 0:
+    if not (
+        isinstance(num_requests, numbers.Integral)
+        and not isinstance(num_requests, bool) and num_requests >= 1
+    ):
         raise DataError(
-            f"arrival_rate_per_s must be > 0, got {arrival_rate_per_s}"
+            f"num_requests must be an int >= 1, got {num_requests!r}"
+        )
+    if not (
+        isinstance(arrival_rate_per_s, numbers.Real)
+        and not isinstance(arrival_rate_per_s, bool)
+        and math.isfinite(arrival_rate_per_s) and arrival_rate_per_s > 0
+    ):
+        raise DataError(
+            "arrival_rate_per_s must be a finite number > 0, "
+            f"got {arrival_rate_per_s!r}"
         )
     rng = make_rng(seed)
     gaps = rng.exponential(1e6 / arrival_rate_per_s, size=num_requests)
@@ -215,12 +231,44 @@ def _config_tag(config: LLMConfig) -> tuple:
     )
 
 
-def _record_prefill(config: LLMConfig, batch: int, seq_len: int):
-    """Record one symbolic prompt-prefill forward at the geometry."""
+def _record_step(config: LLMConfig, kind: str, batch: int, length: int):
+    """Record one symbolic serving step at the geometry: a KV-cached
+    ``"decode"`` step over ``length`` cached entries, or a
+    ``"prefill"`` forward over a ``length``-token prompt."""
+    if kind == "decode":
+        return record_decode_step(
+            config, batch=batch, context_len=length
+        ).graph
     model = GPT2LMHeadModel(config, materialize=False)
-    with ht.record(f"prefill-b{batch}-s{seq_len}", mode="symbolic") as rec:
-        model(ht.input_tensor((batch, seq_len), name="input_ids"))
+    with ht.record(f"prefill-b{batch}-s{length}", mode="symbolic") as rec:
+        model(ht.input_tensor((batch, length), name="input_ids"))
     return rec.graph
+
+
+class _PlanVerdicts(dict):
+    """``(kind, batch_bucket, length) -> bool``: whether the memory plan
+    of one step geometry fits the budget.
+
+    A missing key asks the runtime — which records, compiles, executes
+    and memoizes the step — and stores the answer, so every later read
+    is a plain dict hit that costs no oracle lookup.
+    """
+
+    def __init__(
+        self, runtime: ServingRuntime, config: LLMConfig, tag: tuple
+    ):
+        super().__init__()
+        self._runtime = runtime
+        self._config = config
+        self._tag = tag
+
+    def __missing__(self, key: tuple[str, int, int]) -> bool:
+        cfg = self._config
+        verdict = self._runtime.feasible(
+            (self._tag, *key), lambda: _record_step(cfg, *key)
+        )
+        self[key] = verdict
+        return verdict
 
 
 class ServingSimulator:
@@ -240,12 +288,8 @@ class ServingSimulator:
         max_batch: int = 8,
         ctx_quantum: int = DEFAULT_CTX_QUANTUM,
     ):
-        if max_batch < 1:
-            raise ConfigError(f"max_batch must be >= 1, got {max_batch}")
-        if ctx_quantum < 1:
-            raise ConfigError(
-                f"ctx_quantum must be >= 1, got {ctx_quantum}"
-            )
+        check_positive_int("max_batch", max_batch)
+        check_positive_int("ctx_quantum", ctx_quantum)
         self.runtime = runtime
         self.config = model_config or paper_gpt_config()
         if not self.config.layer.attention.causal:
@@ -258,6 +302,11 @@ class ServingSimulator:
         self.weight_bytes = serving_weight_bytes(self.config)
         self.kv_per_token = kv_bytes_per_token(self.config)
         self._tag = _config_tag(self.config)
+        #: the largest legal decode context (the cache-full boundary)
+        self._max_ctx = max_decode_context(self.config)
+        #: admission plan verdicts, kept across runs: each geometry
+        #: costs one oracle query per simulator
+        self._verdicts = _PlanVerdicts(runtime, self.config, self._tag)
         # per-run trackers (reset by run())
         self._reset_stats()
 
@@ -271,12 +320,6 @@ class ServingSimulator:
 
     # -- geometry -----------------------------------------------------------
 
-    def _ctx_bucket(self, context_len: int) -> int:
-        """Quantize a decode context up; never past the legal maximum."""
-        cap = max_decode_context(self.config)
-        q = self.ctx_quantum
-        return min(-(-context_len // q) * q, cap)
-
     def _prompt_bucket(self, prompt_len: int) -> int:
         q = self.ctx_quantum
         return min(-(-prompt_len // q) * q, self.config.max_seq_len)
@@ -289,103 +332,89 @@ class ServingSimulator:
         q = self.ctx_quantum
         return min(-(-final // q) * q, self.config.max_seq_len)
 
-    def _decode_cost(self, batch_bucket: int, ctx_bucket: int):
+    def _step_cost(self, kind: str, batch_bucket: int, length: int):
         cfg = self.config
         return self.runtime.step_cost(
-            (self._tag, "decode", batch_bucket, ctx_bucket),
-            lambda: record_decode_step(
-                cfg, batch=batch_bucket, context_len=ctx_bucket
-            ).graph,
-        )
-
-    def _decode_feasible(self, batch_bucket: int, ctx_bucket: int) -> bool:
-        cfg = self.config
-        return self.runtime.feasible(
-            (self._tag, "decode", batch_bucket, ctx_bucket),
-            lambda: record_decode_step(
-                cfg, batch=batch_bucket, context_len=ctx_bucket
-            ).graph,
-        )
-
-    def _prefill_cost(self, batch_bucket: int, seq_bucket: int):
-        cfg = self.config
-        return self.runtime.step_cost(
-            (self._tag, "prefill", batch_bucket, seq_bucket),
-            lambda: _record_prefill(cfg, batch_bucket, seq_bucket),
-        )
-
-    def _prefill_feasible(self, batch_bucket: int, seq_bucket: int) -> bool:
-        cfg = self.config
-        return self.runtime.feasible(
-            (self._tag, "prefill", batch_bucket, seq_bucket),
-            lambda: _record_prefill(cfg, batch_bucket, seq_bucket),
+            (self._tag, kind, batch_bucket, length),
+            lambda: _record_step(cfg, kind, batch_bucket, length),
         )
 
     # -- admission ----------------------------------------------------------
 
-    def _viable(self, req: Request) -> bool:
-        """Whether the request could ever be served alone."""
+    def _viable(self, req: Request, reserved_ctx: int) -> bool:
+        """Whether the request (reserving ``reserved_ctx`` cache
+        entries) could ever be served alone."""
         if req.prompt_len > self.config.max_seq_len:
             return False
-        reserved = self.kv_per_token * self._reserved_ctx(req)
+        reserved = self.kv_per_token * reserved_ctx
         if self.weight_bytes + reserved > self.budget_bytes:
             return False
-        if not self._prefill_feasible(1, self._prompt_bucket(req.prompt_len)):
+        prompt = self._prompt_bucket(req.prompt_len)
+        if not self._verdicts["prefill", 1, prompt]:
             return False
         if req.output_len > 1 and req.prompt_len < self.config.max_seq_len:
-            ctx = min(self._reserved_ctx(req), max_decode_context(self.config))
-            if not self._decode_feasible(1, ctx):
+            ctx = min(reserved_ctx, self._max_ctx)
+            if not self._verdicts["decode", 1, ctx]:
                 return False
         return True
-
-    def _group_fits(
-        self, members: list[Request], prefill_group: list[Request]
-    ) -> bool:
-        """Admission test: reservations + planner verdicts for the
-        would-be in-flight set."""
-        reserved = sum(r.reserved_kv_bytes or
-                       self.kv_per_token * self._reserved_ctx(r)
-                       for r in members)
-        if self.weight_bytes + reserved > self.budget_bytes:
-            return False
-        bb = _bucket_batch(len(members))
-        worst_ctx = min(
-            max(self._reserved_ctx(r) for r in members),
-            max_decode_context(self.config),
-        )
-        if not self._decode_feasible(bb, worst_ctx):
-            return False
-        pb = _bucket_batch(len(prefill_group))
-        sb = self._prompt_bucket(max(r.prompt_len for r in prefill_group))
-        return self._prefill_feasible(pb, sb)
 
     def _admit(
         self, queue: "deque[Request]", in_flight: list[Request], t: float,
         rejected: list[Request],
     ) -> list[Request]:
-        """Pop FCFS joiners that fit alongside ``in_flight`` at ``t``."""
+        """Pop FCFS joiners that fit alongside ``in_flight`` at ``t``.
+
+        A candidate joins if the would-be in-flight set passes, in
+        order: the reservation arithmetic (weights plus every reserved
+        KV byte within the budget), the planner verdict for its
+        worst-case decode geometry, and the verdict for the joiners'
+        grouped prefill. The in-flight reservation sum and max are
+        taken once and extended per accepted joiner, so each test is
+        O(1): every reservation is ``kv_per_token * _reserved_ctx``, so
+        the worst-case context is exactly ``max_reserved //
+        kv_per_token``.
+        """
         joiners: list[Request] = []
-        while (
-            queue
-            and queue[0].arrival_us <= t
-            and len(in_flight) + len(joiners) < self.max_batch
-        ):
+        slots = self.max_batch - len(in_flight)
+        if not (queue and queue[0].arrival_us <= t and slots > 0):
+            return joiners  # most calls: nobody is waiting to join
+        kv = self.kv_per_token
+        reserved = sum(r.reserved_kv_bytes for r in in_flight)
+        max_reserved = max(
+            (r.reserved_kv_bytes for r in in_flight), default=0
+        )
+        longest_prompt = 0
+        while queue and queue[0].arrival_us <= t and len(joiners) < slots:
             cand = queue[0]
-            if not self._viable(cand):
+            reserved_ctx = self._reserved_ctx(cand)
+            if not self._viable(cand, reserved_ctx):
                 queue.popleft()
                 cand.finish_reason = "rejected"
                 cand.finish_us = t
                 rejected.append(cand)
                 continue
-            cand.reserved_kv_bytes = (
-                self.kv_per_token * self._reserved_ctx(cand)
-            )
-            if not self._group_fits(
-                in_flight + joiners + [cand], joiners + [cand]
+            cand.reserved_kv_bytes = kv * reserved_ctx
+            group_reserved = reserved + cand.reserved_kv_bytes
+            group_max = max(max_reserved, cand.reserved_kv_bytes)
+            group_prompt = max(longest_prompt, cand.prompt_len)
+            if (
+                self.weight_bytes + group_reserved > self.budget_bytes
+                or not self._verdicts[
+                    "decode",
+                    _bucket_batch(len(in_flight) + len(joiners) + 1),
+                    min(group_max // kv, self._max_ctx),
+                ]
+                or not self._verdicts[
+                    "prefill", _bucket_batch(len(joiners) + 1),
+                    self._prompt_bucket(group_prompt),
+                ]
             ):
                 cand.reserved_kv_bytes = 0
                 break
             joiners.append(queue.popleft())
+            reserved, max_reserved, longest_prompt = (
+                group_reserved, group_max, group_prompt
+            )
         return joiners
 
     # -- steps --------------------------------------------------------------
@@ -394,18 +423,20 @@ class ServingSimulator:
         """Run one grouped prefill; returns the completion time."""
         pb = _bucket_batch(len(joiners))
         sb = self._prompt_bucket(max(r.prompt_len for r in joiners))
-        cost = self._prefill_cost(pb, sb)
+        cost = self._step_cost("prefill", pb, sb)
         self.prefill_steps += 1
         end = t + cost.time_us
+        cap = self._max_ctx
         for r in joiners:
             r.admitted_us = t
             r.first_token_us = end
             r.generated = 1
             r.context_len = r.prompt_len
+            r._decode_stop = min(r.output_len, cap + 2 - r.prompt_len)
             if r.generated >= r.output_len:
                 r.finish_reason = "completed"
                 r.finish_us = end
-            elif r.context_len > max_decode_context(self.config):
+            elif r.context_len > cap:
                 # the prompt already fills the cache: no decode step is
                 # legal (see models.kvcache.decode_shapes), so the
                 # request finishes truncated at its prefill token
@@ -429,28 +460,28 @@ class ServingSimulator:
         ``sample`` the peak trackers see the batch before every step.
         """
         ctx = max(r.context_len for r in batch)
+        q = self.ctx_quantum
+        quantized = -(-ctx // q) * q
+        cap = self._max_ctx
         try:
-            cost = self._decode_cost(batch_bucket, self._ctx_bucket(ctx))
+            step_us = self._step_cost(
+                "decode", batch_bucket, min(quantized, cap)
+            ).time_us
         except Exception as err:  # admission guaranteed feasibility
             raise ExecutionError(
                 "decode step infeasible after admission — the admission "
                 "check reserves the worst-case geometry, so this "
                 "indicates a simulator bug"
             ) from err
-        cap = max_decode_context(self.config)
-        q = self.ctx_quantum
         limit = min(
-            -(-ctx // q) * q - ctx + 1,
-            min(
-                min(r.output_len, cap + 2 - r.prompt_len) - r.generated
-                for r in batch
-            ),
+            quantized - ctx + 1,
+            min(r._decode_stop - r.generated for r in batch),
         )
         # repeated addition, so every timestamp equals the one-step sum
-        end = t + cost.time_us
+        end = t + step_us
         k = 1
         while k < limit and end < admit_at:
-            end += cost.time_us
+            end += step_us
             k += 1
         if sample:
             self._sample(batch, ahead=k - 1)
@@ -494,7 +525,14 @@ class ServingSimulator:
                 f"(choices: {', '.join(SERVING_POLICIES)})"
             )
         self._reset_stats()
-        work = [dataclasses.replace(r) for r in requests]
+        work = [
+            Request(
+                r.rid, r.arrival_us, r.prompt_len, r.output_len,
+                r.admitted_us, r.first_token_us, r.finish_us, r.generated,
+                r.context_len, r.finish_reason, r.reserved_kv_bytes,
+            )
+            for r in requests
+        ]
         rejected: list[Request] = []
         queue = deque(work)
         if policy == "continuous":

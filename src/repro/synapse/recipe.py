@@ -129,9 +129,11 @@ def structure_signature(graph: Graph) -> str:
     Op kinds, connectivity, dtypes, value kinds/names, provenance, and
     gradient markings — the inputs the structural compiler passes
     (validation, view elision, fusion grouping, recompile marking, DMA
-    staging) actually read for their decisions. Two sweep points of
-    the same model that differ only in batch/sequence sizes share a
-    structure signature, which is what lets the incremental pass cache
+    staging) actually read for their decisions. The graph name is
+    left out: callers name graphs by geometry, so it belongs to
+    :func:`geometry_signature`. Two sweep points of the same model
+    that differ only in batch/sequence sizes share a structure
+    signature, which is what lets the incremental pass cache
     replay those passes' decisions instead of re-deriving them (see
     :mod:`repro.synapse.passes.incremental`).
 
@@ -142,7 +144,7 @@ def structure_signature(graph: Graph) -> str:
     ``lint_passes`` rule polices this).
     """
     h = hashlib.sha256()
-    h.update(f"structure:{graph.name}\n".encode())
+    h.update(b"structure\n")
     for vid, v in sorted(graph.values.items()):
         h.update(f"v:{vid}:{v.dtype.value}:{v.kind}:{v.name}\n".encode())
     for n in graph.nodes:
@@ -156,16 +158,20 @@ def structure_signature(graph: Graph) -> str:
 
 
 def geometry_signature(graph: Graph) -> str:
-    """Hash of a graph's geometry: value shapes + node attributes.
+    """Hash of a graph's geometry: its name, value shapes and node
+    attributes.
 
     The complement of :func:`structure_signature` — together they
     cover everything :func:`graph_signature` covers. Passes whose
     decisions depend on concrete extents (lowering's rewritten shapes,
     TPC slicing, memory planning) declare this component and re-run
-    whenever it changes.
+    whenever it changes. The name counts as geometry because callers
+    name graphs by their extents (``decode-b8-t256``); a pass that
+    carries the graph itself into its recorded effect (lowering) must
+    declare geometry, so it never replays a graph under another name.
     """
     h = hashlib.sha256()
-    h.update(b"geometry\n")
+    h.update(f"geometry:{graph.name}\n".encode())
     for vid, v in sorted(graph.values.items()):
         h.update(f"v:{vid}:{v.shape}\n".encode())
     for n in graph.nodes:

@@ -34,6 +34,7 @@ from typing import Callable, Hashable
 from ..hw.config import GaudiConfig
 from ..hw.device import GaudiDevice
 from ..util.errors import DeviceMemoryError
+from ..util.validation import check_positive_int
 from .compiler import CompilerOptions, GraphCompiler, default_compiler_options
 from .graph import Graph
 from .recipe import RecipeCache
@@ -79,6 +80,7 @@ class ServingRuntime:
         self.config = config or GaudiConfig()
         base = options or default_compiler_options()
         if hbm_budget is not None:
+            check_positive_int("hbm_budget", hbm_budget)
             base = dataclasses.replace(
                 base, hbm_budget=hbm_budget, enforce_memory=True
             )

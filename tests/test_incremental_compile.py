@@ -15,6 +15,7 @@ import pytest
 
 from repro import ht
 from repro.ht import functional as F
+from repro.models import record_decode_step, tiny_gpt_config
 from repro.synapse import GraphCompiler, default_compiler_options
 from repro.synapse.lint import lint_passes
 from repro.synapse.passes import (
@@ -104,6 +105,29 @@ class TestIncrementalReuse:
             "dma_staging": "hit",
         }
         assert warm.stats["incremental"] == {"reused": 5, "recomputed": 1}
+
+    def test_geometry_named_graphs_replay_structural_passes(self):
+        # serving names every step graph by its geometry
+        # (decode-b{B}-t{T}); the name must not split the structure key
+        cfg = tiny_gpt_config()
+        small = record_decode_step(cfg, batch=2, context_len=16).graph
+        large = record_decode_step(cfg, batch=4, context_len=32).graph
+        assert small.name != large.name
+        assert structure_signature(small) == structure_signature(large)
+        assert geometry_signature(small) != geometry_signature(large)
+        compile_graph(small, incremental=True)
+        warm = compile_graph(large, incremental=True)
+        modes = {
+            e["pass"]: e["incremental"]
+            for e in warm.stats["passes"] if e["incremental"]
+        }
+        for name in ("validate", "view_elision", "elementwise_fusion",
+                     "recompile_injection", "dma_staging"):
+            assert modes[name] == "hit", name
+        assert warm.graph.name == large.name
+        reset_pass_cache()
+        cold = compile_graph(large, incremental=True)
+        assert canonical(warm) == canonical(cold)
 
     def test_option_sweep_replays_everything_cacheable(self):
         graph = record_step(8)

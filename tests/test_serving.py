@@ -17,6 +17,8 @@ The properties the PR claims, executed:
 
 import hashlib
 import io
+import math
+from collections import Counter, deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +28,8 @@ from hypothesis import given, settings, strategies as st
 from repro import ht
 from repro.core.decode_study import DecodeStudyResult
 from repro.core.serving import (
+    SERVING_POLICIES,
+    Request,
     ServingAblationResult,
     ServingPoint,
     ServingSimulator,
@@ -45,7 +49,7 @@ from repro.models import (
     tiny_gpt_config,
 )
 from repro.synapse.serving import ServingRuntime
-from repro.util.errors import DataError, ShapeError
+from repro.util.errors import ConfigError, DataError, ShapeError
 
 SMALL = scaled(paper_gpt_config(), vocab_size=128, seq_len=256)
 SMALL_WORKLOAD = ServingWorkload(prompt_range=(4, 48), output_range=(2, 40))
@@ -270,6 +274,31 @@ class TestServingValidation:
         with pytest.raises(DataError, match="arrival_rate"):
             generate_requests(5, 0.0)
 
+    @pytest.mark.parametrize(
+        "rate", [float("nan"), float("inf"), -1.0, "10", True]
+    )
+    def test_rate_must_be_finite_positive_number(self, rate):
+        with pytest.raises(DataError, match="arrival_rate"):
+            generate_requests(10, rate)
+
+    @pytest.mark.parametrize("num", [2.5, "10", True, -3])
+    def test_count_must_be_positive_int(self, num):
+        with pytest.raises(DataError, match="num_requests"):
+            generate_requests(num, 10.0)
+
+    @pytest.mark.parametrize("field", ["max_batch", "ctx_quantum"])
+    @pytest.mark.parametrize("bad", [0, 2.5, 1.5, "8", True])
+    def test_simulator_knobs_must_be_positive_ints(self, runtime, field,
+                                                   bad):
+        with pytest.raises(ConfigError, match=field):
+            ServingSimulator(runtime, **{field: bad})
+
+    @pytest.mark.parametrize("budget", [0, -1, 2.5, "1"])
+    def test_hbm_budget_must_be_positive_int(self, budget):
+        # 0 used to mean "full device capacity" silently
+        with pytest.raises(ConfigError, match="hbm_budget"):
+            ServingRuntime(hbm_budget=budget)
+
     def test_unknown_policy(self, simulator):
         trace = generate_requests(2, 10.0, workload=SMALL_WORKLOAD)
         with pytest.raises(Exception, match="unknown serving policy"):
@@ -356,7 +385,7 @@ RECORD_DIGESTS = {
 }
 
 
-def _serve_scenario(name: str, policy: str):
+def _build_scenario(name: str):
     spec = dict(EXACTNESS_SCENARIOS[name])
     runtime = ServingRuntime(hbm_budget=spec.pop("hbm_budget", None))
     trace = generate_requests(
@@ -364,7 +393,11 @@ def _serve_scenario(name: str, policy: str):
         workload=spec.pop("workload", ServingWorkload()),
         seed=spec.pop("seed", 0),
     )
-    sim = ServingSimulator(runtime, **spec)
+    return runtime, ServingSimulator(runtime, **spec), trace
+
+
+def _serve_scenario(name: str, policy: str):
+    runtime, sim, trace = _build_scenario(name)
     return runtime, sim.run(trace, policy)
 
 
@@ -399,3 +432,82 @@ class TestWindowedDecodeExactness:
     def test_windows_skip_lookups(self):
         runtime, result = _serve_scenario("default-20", "continuous")
         assert runtime.lookups < result.decode_steps
+
+
+class TestAdmissionVerdicts:
+    """The simulator's plan-verdict table: each admission geometry
+    costs one oracle query per simulator, and admission decisions are
+    unchanged (the pinned digests above are the exactness oracle)."""
+
+    @pytest.mark.parametrize("name", ["default-20", "kv-pressure"])
+    def test_each_geometry_probed_once_per_simulator(self, name):
+        runtime, sim, trace = _build_scenario(name)
+        probes = Counter()
+        feasible = runtime.feasible
+
+        def counting(key, factory):
+            probes[key] += 1
+            return feasible(key, factory)
+
+        runtime.feasible = counting
+        for policy in SERVING_POLICIES:
+            sim.run(trace, policy)
+        assert probes and max(probes.values()) == 1
+
+    def test_running_reservations(self):
+        # an always-feasible oracle isolates the reservation arithmetic
+        tok = kv_bytes_per_token(SMALL)
+        asked = []
+        oracle = SimpleNamespace(
+            hbm_budget=serving_weight_bytes(SMALL) + 6 * 64 * tok,
+            feasible=lambda key, factory: asked.append(key[1:]) or True,
+        )
+        sim = ServingSimulator(
+            oracle, model_config=SMALL, max_batch=8, ctx_quantum=64
+        )
+        # one in-flight request reserving three quanta; each short
+        # candidate reserves one, so three more fill the budget
+        running = Request(0, 0.0, 100, 60)
+        running.reserved_kv_bytes = 3 * 64 * tok
+        queue = deque(generate_requests(
+            6, 1e3, workload=ServingWorkload(
+                prompt_range=(8, 16), output_range=(8, 16)
+            ),
+        ))
+        joiners = sim._admit(queue, [running], math.inf, [])
+        assert [r.reserved_kv_bytes for r in joiners] == [64 * tok] * 3
+        assert queue[0].reserved_kv_bytes == 0  # the refused head
+        # the group's decode geometry is the in-flight worst case
+        group_decodes = [k for k in asked if k[0] == "decode" and k[1] > 1]
+        assert group_decodes == [("decode", 2, 192), ("decode", 4, 192)]
+
+    def test_kv_pressure_exercises_the_refusal_branch(self):
+        _, sim, trace = _build_scenario("kv-pressure")
+        refusals = Counter()
+        admit = sim._admit
+        for policy in SERVING_POLICIES:
+            def counting(queue, in_flight, t, rejected, policy=policy):
+                joiners = admit(queue, in_flight, t, rejected)
+                # admission stops with an arrived head and a free slot
+                # only when the group test refused that head
+                if (
+                    queue and queue[0].arrival_us <= t
+                    and len(in_flight) + len(joiners) < sim.max_batch
+                ):
+                    refusals[policy] += 1
+                return joiners
+
+            sim._admit = counting
+            sim.run(trace, policy)
+        assert refusals == {"continuous": 700, "static": 25}
+
+    def test_default_trace_measures_twenty_geometries(self):
+        runtime = ServingRuntime()
+        sim = ServingSimulator(runtime, max_batch=8)
+        trace = generate_requests(10_000, 20.0)
+        for policy in SERVING_POLICIES:
+            assert sim.run(trace, policy).metrics()["rejected"] == 0
+        assert runtime.measured == 20
+        # one lookup per decode window and prefill, plus one per
+        # admission geometry's first probe
+        assert runtime.lookups == 39_939
