@@ -9,131 +9,38 @@ misses — the CLI is usable as a CI gate for the reproduction.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Callable
 
-from .core import (
-    SWEEP_POLICIES,
-    run_activation_study,
-    run_attention_study,
-    run_backend_ablation,
-    run_chunked_attention_study,
-    run_decode_study,
-    run_e2e,
-    run_energy_study,
-    run_full_study,
-    run_fusion_ablation,
-    run_generation_comparison,
-    run_hbm_contention_ablation,
-    run_kernel_pack_ablation,
-    run_memory_ablation,
-    run_mme_vs_tpc,
-    run_op_mapping,
-    run_overlap_scheduler_ablation,
-    run_parallel_study,
-    run_pass_toggle_ablation,
-    run_pipelined_attention_study,
-    run_reorder_ablation,
-    run_comm_overlap_ablation,
-    run_scaling_study,
-    run_seq_sweep,
-    run_serving_ablation,
-    run_tpc_core_sweep,
-)
-from .core.reference import ShapeCheck
+from .core import EXPERIMENTS, SWEEP_POLICIES, run_full_study
 from .hw.device import default_device
 from .synapse import (
     DEFAULT_RECIPE_CACHE_DIR,
     PASS_OPTION_FLAGS,
+    CompilerOptions,
     default_compiler_options,
+    default_recipe_cache_dir,
     disable_passes,
     set_default_compiler_options,
     set_default_recipe_cache_dir,
 )
 
-
-def _simple(run: Callable[[], object]) -> tuple[str, list[ShapeCheck]]:
-    result = run()
-    return result.render(), result.checks()
+#: the experiments by subcommand name
+_BY_NAME = {experiment.name: experiment for experiment in EXPERIMENTS}
 
 
-#: CLI-selected HLS-1 population for the multi-card experiments
-#: (``--cards``); ``None`` means each experiment's default sweep
-_CLI_CARDS: int | None = None
+def _positive(kind: Callable[[str], float]) -> Callable[[str], float]:
+    """An argparse ``type`` parsing ``kind`` and rejecting values <= 0."""
 
-#: CLI-selected process-pool width (``--jobs``) for the simulations
-#: that can fan out; 1 keeps everything in-process
-_CLI_JOBS: int = 1
+    def parse(text: str):
+        value = kind(text)
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
 
-
-def _scaling() -> tuple[str, list[ShapeCheck]]:
-    if _CLI_CARDS is None:
-        return _simple(lambda: run_scaling_study(jobs=_CLI_JOBS))
-    counts = tuple(p for p in (1, 2, 4, 8) if p <= _CLI_CARDS)
-    return _simple(
-        lambda: run_scaling_study(card_counts=counts, jobs=_CLI_JOBS)
-    )
-
-
-def _comm_ablation() -> tuple[str, list[ShapeCheck]]:
-    cards = _CLI_CARDS if _CLI_CARDS is not None else 8
-    return _simple(
-        lambda: run_comm_overlap_ablation(num_cards=cards, jobs=_CLI_JOBS)
-    )
-
-
-EXPERIMENTS: dict[str, tuple[str, Callable[[], tuple[str, list[ShapeCheck]]]]] = {
-    "table1": ("Table 1: operation-engine mapping",
-               lambda: _simple(run_op_mapping)),
-    "table2": ("Table 2: MME vs TPC batched matmul",
-               lambda: _simple(run_mme_vs_tpc)),
-    "fig4-6": ("Figures 4-6: attention-variant layer profiles",
-               lambda: _simple(run_attention_study)),
-    "fig7": ("Figure 7: activation functions",
-             lambda: _simple(run_activation_study)),
-    "fig8": ("Figure 8: GPT end-to-end training step",
-             lambda: _simple(lambda: run_e2e("gpt"))),
-    "fig9": ("Figure 9: BERT end-to-end training step",
-             lambda: _simple(lambda: run_e2e("bert"))),
-    "seq-sweep": ("Long-sequence sweep (challenge #3)",
-                  lambda: _simple(run_seq_sweep)),
-    "ablation-reorder": ("A1: issue-order ablation",
-                         lambda: _simple(run_reorder_ablation)),
-    "ablation-fusion": ("A2: elementwise-fusion ablation",
-                        lambda: _simple(run_fusion_ablation)),
-    "ablation-tpc-cores": ("A3: TPC core-count sweep",
-                           lambda: _simple(run_tpc_core_sweep)),
-    "scaling": ("A4: HLS-1 multi-card scaling extension",
-                _scaling),
-    "chunked": ("A5: chunked-attention extension",
-                lambda: _simple(run_chunked_attention_study)),
-    "pipelined": ("A6: pipelined exact-attention extension",
-                  lambda: _simple(run_pipelined_attention_study)),
-    "gaudi2": ("A7: Gaudi2 what-if extension",
-               lambda: _simple(run_generation_comparison)),
-    "energy": ("A8: energy extension",
-               lambda: _simple(run_energy_study)),
-    "decode": ("A9: KV-cached decode extension",
-               lambda: _simple(run_decode_study)),
-    "ablation-passes": ("A10: per-pass toggle ablation",
-                        lambda: _simple(run_pass_toggle_ablation)),
-    "ablation-hbm": ("A11: HBM contention ablation",
-                     lambda: _simple(run_hbm_contention_ablation)),
-    "ablation-comm": ("A12: communication-overlap ablation",
-                      _comm_ablation),
-    "ablation-overlap": ("A13: overlap scheduler ablation",
-                         lambda: _simple(run_overlap_scheduler_ablation)),
-    "ablation-memory": ("A14: memory planning ablation",
-                        lambda: _simple(run_memory_ablation)),
-    "ablation-serving": ("A15: static vs continuous batching",
-                         lambda: _simple(run_serving_ablation)),
-    "ablation-parallel": ("A16: multi-box parallel layouts",
-                          lambda: _simple(run_parallel_study)),
-    "ablation-kernels": ("A17: attention kernel pack",
-                         lambda: _simple(run_kernel_pack_ablation)),
-    "ablation-backends": ("A18: cross-backend comparison (Gaudi vs WSE)",
-                          lambda: _simple(run_backend_ablation)),
-}
+    parse.__name__ = kind.__name__  # argparse names the type in errors
+    return parse
 
 
 def _lint_gate() -> int:
@@ -169,7 +76,7 @@ def _lint_gate() -> int:
     return 0
 
 
-def _profile_self(scenario: str, top: int) -> int:
+def _profile_self(args: argparse.Namespace) -> int:
     """cProfile one named experiment, print the top cumulative frames.
 
     The self-measurement loop behind the simulator-performance work:
@@ -179,14 +86,14 @@ def _profile_self(scenario: str, top: int) -> int:
     import cProfile
     import pstats
 
-    title, runner = EXPERIMENTS[scenario]
-    print(f"== profile-self: {title} ==")
+    experiment = _BY_NAME[args.scenario]
+    print(f"== profile-self: {experiment.title} ==")
     profiler = cProfile.Profile()
     profiler.enable()
-    runner()
+    experiment.run(args.jobs, args.cards)
     profiler.disable()
     stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.strip_dirs().sort_stats("cumulative").print_stats(top)
+    stats.strip_dirs().sort_stats("cumulative").print_stats(args.top)
     return 0
 
 
@@ -215,12 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
              "it across concurrent engines (the pre-contention model)",
     )
     parser.add_argument(
-        "--cards", type=int, default=None, metavar="N",
+        "--cards", type=int, choices=(1, 2, 4, 8), default=None,
+        metavar="N",
         help="HLS-1 population for multi-card experiments "
              "(power of two <= 8; caps the A4 sweep, sets A12's box)",
     )
     parser.add_argument(
-        "--bucket-mb", type=float, default=None, metavar="MB",
+        "--bucket-mb", type=_positive(float), default=None, metavar="MB",
         help="gradient-bucket size for collective injection "
              "(default 25)",
     )
@@ -232,9 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--scheduler", choices=("inorder", "reorder", "lookahead"),
         default=None,
-        help="out-of-order issue policy when reordering is on: "
-             "'reorder' is the legacy greedy earliest-ready scheduler, "
-             "'lookahead' (default) adds critical-path priorities and "
+        help="issue policy: 'inorder' (default) keeps per-engine "
+             "program order, 'reorder' is the greedy earliest-ready "
+             "scheduler, 'lookahead' adds critical-path priorities and "
              "an MME-starvation lookahead",
     )
     parser.add_argument(
@@ -243,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
              "they overlap with MME compute (the A13 machinery)",
     )
     parser.add_argument(
-        "--hbm-budget", type=float, default=None, metavar="GIB",
+        "--hbm-budget", type=_positive(float), default=None, metavar="GIB",
         help="HBM budget in GiB for the memory planner (default: the "
              "device's 32 GiB capacity)",
     )
@@ -265,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
              "is given without a value)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_positive(int), default=1, metavar="N",
         help="process-pool width for the multi-card simulations "
              "(A4/A12); results are identical at any width",
     )
@@ -279,13 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     study = sub.add_parser("study", help="run every experiment")
     study.add_argument("--no-extensions", action="store_true",
-                       help="skip ablations/extensions (A1-A9)")
+                       help="run only the paper's tables and figures "
+                            "(skip the A1-A18 ablations/extensions)")
     study.add_argument("-o", "--output", help="also write the report here")
     study.add_argument("--artifacts",
                        help="directory for report.txt + checks.json")
 
-    for name, (title, _) in EXPERIMENTS.items():
-        sub.add_parser(name, help=title)
+    for experiment in EXPERIMENTS:
+        sub.add_parser(experiment.name, help=experiment.title)
 
     sweep = sub.add_parser(
         "sweep",
@@ -296,24 +205,28 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="NAME",
                        help="workload: gpt, bert, or layer:<kind> "
                             "(repeatable; default gpt)")
-    sweep.add_argument("--batch", action="append", default=[], type=int,
+    sweep.add_argument("--batch", action="append", default=[],
+                       type=_positive(int),
                        metavar="N",
                        help="batch size axis (repeatable; default: the "
                             "workload's paper shape)")
-    sweep.add_argument("--seq-len", action="append", default=[], type=int,
+    sweep.add_argument("--seq-len", action="append", default=[],
+                       type=_positive(int),
                        metavar="N",
                        help="sequence length axis (repeatable)")
-    sweep.add_argument("--card", action="append", default=[], type=int,
+    sweep.add_argument("--card", action="append", default=[],
+                       type=_positive(int),
                        metavar="N",
                        help="cards-per-box axis (repeatable; default 1)")
-    sweep.add_argument("--boxes", action="append", default=[], type=int,
+    sweep.add_argument("--boxes", action="append", default=[],
+                       type=_positive(int),
                        metavar="N",
                        help="HLS-1 box-count axis bridged by the "
                             "Ethernet tier (repeatable; default 1)")
-    sweep.add_argument("--tp", type=int, default=1, metavar="N",
+    sweep.add_argument("--tp", type=_positive(int), default=1, metavar="N",
                        help="tensor-parallel degree applied to every "
                             "point's compile (default 1)")
-    sweep.add_argument("--pp", type=int, default=1, metavar="N",
+    sweep.add_argument("--pp", type=_positive(int), default=1, metavar="N",
                        help="pipeline-parallel stages applied to every "
                             "point's compile (microbatches = pp; "
                             "default 1)")
@@ -349,9 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
              "arrivals, KV-cached decode, static or continuous "
              "batching)",
     )
-    serve.add_argument("--requests", type=int, default=10_000, metavar="N",
+    serve.add_argument("--requests", type=_positive(int), default=10_000,
+                       metavar="N",
                        help="arrivals per scenario (default 10000)")
-    serve.add_argument("--rate", action="append", default=[], type=float,
+    serve.add_argument("--rate", action="append", default=[],
+                       type=_positive(float),
                        metavar="R",
                        help="arrival rate in requests/s (repeatable; "
                             "default 10, 20, 40)")
@@ -359,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("static", "continuous"), metavar="POLICY",
                        help="batching policy axis (repeatable; default "
                             "both)")
-    serve.add_argument("--max-batch", type=int, default=8, metavar="N",
+    serve.add_argument("--max-batch", type=_positive(int), default=8,
+                       metavar="N",
                        help="in-flight batch slots (default 8)")
     serve.add_argument("--seed", type=int, default=0, metavar="N",
                        help="arrival-trace seed (default 0)")
@@ -378,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cProfile one named experiment and print the hottest "
              "simulator frames",
     )
-    prof.add_argument("scenario", choices=sorted(EXPERIMENTS),
+    prof.add_argument("scenario", choices=sorted(_BY_NAME),
                       help="which experiment to profile")
     prof.add_argument("--top", type=int, default=20, metavar="N",
                       help="how many cumulative entries to print "
@@ -391,71 +307,50 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.
+
+    The global flags apply to this call only: the process-wide compiler
+    options and recipe directory are restored on return.
+    """
     args = build_parser().parse_args(argv)
-
-    options = default_compiler_options()
-    if args.disable_pass:
-        options = disable_passes(options, *args.disable_pass)
-    if args.no_recipe_cache:
-        import dataclasses
-
-        options = dataclasses.replace(options, use_recipe_cache=False)
-    if args.no_hbm_contention:
-        import dataclasses
-
-        options = dataclasses.replace(options, hbm_contention=False)
-    if args.bucket_mb is not None:
-        import dataclasses
-
-        options = dataclasses.replace(options, bucket_mb=args.bucket_mb)
-    if args.no_comm_overlap:
-        import dataclasses
-
-        options = dataclasses.replace(options, comm_overlap=False)
-    if args.scheduler is not None:
-        import dataclasses
-
-        options = dataclasses.replace(options, scheduler=args.scheduler)
     if args.backend is not None:
-        import dataclasses
-
         from .hw.backend import get_backend
 
         get_backend(args.backend)  # fail fast on unknown names
-        options = dataclasses.replace(options, backend=args.backend)
-    if args.tpc_slice_ops:
-        import dataclasses
-
-        options = dataclasses.replace(options, tpc_slice_ops=True)
-    if args.hbm_budget is not None:
-        import dataclasses
-
-        options = dataclasses.replace(
-            options, hbm_budget=int(args.hbm_budget * (1 << 30))
-        )
-    if args.memory_policy is not None:
-        import dataclasses
-
-        options = dataclasses.replace(
-            options, memory_policy=args.memory_policy
-        )
+    overrides = dict(
+        use_recipe_cache=not args.no_recipe_cache,
+        hbm_contention=not args.no_hbm_contention,
+        comm_overlap=not args.no_comm_overlap,
+        tpc_slice_ops=args.tpc_slice_ops,
+        bucket_mb=args.bucket_mb,
+        scheduler=args.scheduler,
+        backend=args.backend,
+        hbm_budget=(None if args.hbm_budget is None
+                    else int(args.hbm_budget * (1 << 30))),
+        memory_policy=args.memory_policy,
+    )
+    options = dataclasses.replace(
+        disable_passes(CompilerOptions(), *args.disable_pass),
+        **{k: v for k, v in overrides.items() if v is not None},
+    )
+    previous = default_compiler_options(), default_recipe_cache_dir()
     set_default_compiler_options(options)
     if args.recipe_cache_dir is not None:
         set_default_recipe_cache_dir(args.recipe_cache_dir)
-    if args.cards is not None:
-        global _CLI_CARDS
-        _CLI_CARDS = args.cards
-    if args.jobs != 1:
-        global _CLI_JOBS
-        _CLI_JOBS = max(1, args.jobs)
+    try:
+        return _run_command(args)
+    finally:
+        set_default_compiler_options(previous[0])
+        set_default_recipe_cache_dir(previous[1])
 
+
+def _run_command(args: argparse.Namespace) -> int:
+    """Dispatch the parsed subcommand; returns the exit code."""
     if args.command == "lint-gate":
         return _lint_gate()
 
     if args.command == "sweep":
         from .core import run_sweep, sweep_spec_from_cli
-        from .synapse.recipe import default_recipe_cache_dir
 
         backend_axis = args.backend_axis or (
             [args.backend] if args.backend else []
@@ -468,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
             backend=backend_axis,
         )
         result = run_sweep(
-            spec, jobs=_CLI_JOBS, stream=args.out,
+            spec, jobs=args.jobs, stream=args.out,
             recipe_dir=default_recipe_cache_dir(),
         )
         print(result.render())
@@ -484,7 +379,6 @@ def main(argv: list[str] | None = None) -> int:
             render_serving_table,
             run_serving,
         )
-        from .synapse.recipe import default_recipe_cache_dir
 
         rates = args.rate or [10.0, 20.0, 40.0]
         policies = args.policy or list(SERVING_POLICIES)
@@ -499,14 +393,12 @@ def main(argv: list[str] | None = None) -> int:
         ]
         serve_options = None
         if args.attention_kernel:
-            import dataclasses as _dc
-
-            serve_options = _dc.replace(
+            serve_options = dataclasses.replace(
                 default_compiler_options(),
                 attention_lowering=args.attention_kernel,
             )
         results = run_serving(
-            points, jobs=_CLI_JOBS, stream=args.out,
+            points, jobs=args.jobs, stream=args.out,
             options=serve_options,
             recipe_dir=default_recipe_cache_dir(),
         )
@@ -520,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "profile-self":
-        return _profile_self(args.scenario, args.top)
+        return _profile_self(args)
 
     if args.command == "describe":
         if args.backend is not None:
@@ -535,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "study":
         report = run_full_study(
-            include_extensions=not args.no_extensions, jobs=_CLI_JOBS
+            include_extensions=not args.no_extensions, jobs=args.jobs
         )
         text = report.render()
         print(text)
@@ -549,9 +441,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"\nartifacts written to {path.parent}")
         return 0 if report.all_passed else 1
 
-    title, runner = EXPERIMENTS[args.command]
-    text, checks = runner()
-    print(f"== {title} ==")
+    experiment = _BY_NAME[args.command]
+    result = experiment.run(args.jobs, args.cards)
+    text, checks = result.render(), result.checks()
+    print(f"== {experiment.title} ==")
     print(text)
     print()
     for check in checks:

@@ -1,7 +1,8 @@
 """Ablations over the design choices DESIGN.md calls out.
 
 * A1 — runtime reordering: what if the GraphCompiler "detect[ed] the
-  independence" (§3.3) and issued any ready op? (Performer shapes.)
+  independence" (§3.3) and issued any ready op? (Performer shapes,
+  ``lookahead`` scheduler.)
 * A2 — elementwise fusion on/off (layer shapes).
 * A3 — TPC core count sweep: how the softmax bottleneck scales with
   cluster width.
@@ -78,10 +79,14 @@ def run_reorder_ablation(
     """Profile one layer under both issue disciplines."""
     return ReorderAblationResult(
         kind=kind,
-        in_order=profile_layer(kind, config=config,
-                               options=CompilerOptions(reorder=False)),
-        reordered=profile_layer(kind, config=config,
-                                options=CompilerOptions(reorder=True)),
+        in_order=profile_layer(
+            kind, config=config,
+            options=CompilerOptions(scheduler="inorder"),
+        ),
+        reordered=profile_layer(
+            kind, config=config,
+            options=CompilerOptions(scheduler="lookahead"),
+        ),
     )
 
 
@@ -513,7 +518,7 @@ class HbmContentionAblationResult:
 
 
 def _contention_pair(
-    graph, config: GaudiConfig, *, reorder: bool = False
+    graph, config: GaudiConfig, scheduler: str
 ) -> tuple[ProfileResult, ProfileResult]:
     """Compile once, execute under both memory models.
 
@@ -528,7 +533,7 @@ def _contention_pair(
     out = []
     for contention in (True, False):
         result = Runtime(GaudiDevice(config)).execute(
-            schedule, reorder=reorder, hbm_contention=contention
+            schedule, hbm_contention=contention, scheduler=scheduler
         )
         timeline = result.timeline.shifted(-result.start_offset_us)
         out.append(ProfileResult(
@@ -565,24 +570,24 @@ def run_hbm_contention_ablation(
     config = config or GaudiConfig()
     result = HbmContentionAblationResult()
 
-    workloads: list[tuple[str, object, bool]] = [
-        ("softmax layer (fig4)", _layer_graph("softmax"), False),
-        ("linear layer (fig5)", _layer_graph("linear"), False),
-        ("performer layer (fig6)", _layer_graph("performer"), False),
+    # the A1 row runs the greedy "reorder" planner, not A1's own
+    # lookahead policy
+    workloads: list[tuple[str, object, str]] = [
+        ("softmax layer (fig4)", _layer_graph("softmax"), "inorder"),
+        ("linear layer (fig5)", _layer_graph("linear"), "inorder"),
+        ("performer layer (fig6)", _layer_graph("performer"), "inorder"),
         ("GLU activation layer (fig7)",
          _layer_graph("linear", feature_map="glu", batch=8, seq_len=256),
-         False),
+         "inorder"),
         ("GPT train step (fig8)",
-         record_training_step("gpt").graph, False),
+         record_training_step("gpt").graph, "inorder"),
         ("BERT train step (fig9)",
-         record_training_step("bert").graph, False),
-        ("performer + reorder (A1)", _layer_graph("performer"), True),
-        ("pipelined attention (A6)", _layer_graph("pipelined"), False),
+         record_training_step("bert").graph, "inorder"),
+        ("performer + reorder (A1)", _layer_graph("performer"), "reorder"),
+        ("pipelined attention (A6)", _layer_graph("pipelined"), "inorder"),
     ]
-    for name, graph, reorder in workloads:
-        contended, uncontended = _contention_pair(
-            graph, config, reorder=reorder
-        )
+    for name, graph, scheduler in workloads:
+        contended, uncontended = _contention_pair(graph, config, scheduler)
         result.rows.append(ContentionRow(name, contended, uncontended))
     return result
 

@@ -1,5 +1,7 @@
 """The full benchmarking study: every table, figure and extension.
 
+:data:`EXPERIMENTS` is the one table of experiments: the CLI's
+subcommands, ``profile-self`` and the study all read it.
 ``run_full_study()`` reproduces the paper end to end and returns a
 :class:`StudyReport` whose ``render()`` is the EXPERIMENTS.md payload:
 per-experiment measurements, the paper's reference values, and the
@@ -9,13 +11,14 @@ pass/miss state of every qualitative shape check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
-from ..hw.config import GaudiConfig
 from .ablations import (
     run_chunked_attention_study,
-    run_hbm_contention_ablation,
-    run_pipelined_attention_study,
     run_fusion_ablation,
+    run_hbm_contention_ablation,
+    run_pass_toggle_ablation,
+    run_pipelined_attention_study,
     run_reorder_ablation,
     run_tpc_core_sweep,
 )
@@ -80,104 +83,104 @@ class StudyReport:
         return "\n".join(parts)
 
 
-def run_full_study(
-    config: GaudiConfig | None = None,
-    *,
-    include_extensions: bool = True,
-    jobs: int = 1,
-) -> StudyReport:
-    """Run every experiment in DESIGN.md's index.
+@dataclass(frozen=True)
+class Experiment:
+    """One reproducible experiment: a CLI subcommand and a study section.
 
+    ``run(jobs, cards)`` returns a result exposing ``render()`` and
+    ``checks()``. ``jobs`` is the process-pool width for the multi-card
+    simulations; ``cards`` caps the HLS-1 population of the multi-card
+    experiments (``None`` keeps each experiment's default sweep).
+    """
+
+    name: str
+    title: str
+    run: Callable[[int, int | None], Any]
+    #: one of the paper's own artifacts (kept by ``--no-extensions``)
+    paper: bool = False
+    #: a section of :func:`run_full_study` (the CLI runs every entry)
+    in_study: bool = True
+
+
+#: every experiment, in the study's section order
+EXPERIMENTS: tuple[Experiment, ...] = (
+    Experiment("table1", "Table 1: operation-engine mapping",
+               lambda jobs, cards: run_op_mapping(), paper=True),
+    Experiment("table2", "Table 2: MME vs TPC batched matmul",
+               lambda jobs, cards: run_mme_vs_tpc(), paper=True),
+    Experiment("fig4-6", "Figures 4-6: attention-variant layer profiles",
+               lambda jobs, cards: run_attention_study(), paper=True),
+    Experiment("fig7", "Figure 7: activation functions",
+               lambda jobs, cards: run_activation_study(), paper=True),
+    Experiment("seq-sweep", "Long-sequence sweep (challenge #3)",
+               lambda jobs, cards: run_seq_sweep(), paper=True),
+    Experiment("fig8", "Figure 8: GPT end-to-end training step",
+               lambda jobs, cards: run_e2e("gpt"), paper=True),
+    Experiment("fig9", "Figure 9: BERT end-to-end training step",
+               lambda jobs, cards: run_e2e("bert"), paper=True),
+    Experiment("ablation-reorder", "A1: issue-order ablation",
+               lambda jobs, cards: run_reorder_ablation()),
+    Experiment("ablation-fusion", "A2: elementwise-fusion ablation",
+               lambda jobs, cards: run_fusion_ablation()),
+    Experiment("ablation-tpc-cores", "A3: TPC core-count sweep",
+               lambda jobs, cards: run_tpc_core_sweep()),
+    Experiment("scaling", "A4: HLS-1 multi-card scaling extension",
+               lambda jobs, cards: run_scaling_study(
+                   card_counts=tuple(
+                       p for p in (1, 2, 4, 8) if p <= (cards or 8)
+                   ),
+                   jobs=jobs,
+               )),
+    Experiment("chunked", "A5: chunked-attention extension",
+               lambda jobs, cards: run_chunked_attention_study()),
+    Experiment("pipelined", "A6: pipelined exact-attention extension",
+               lambda jobs, cards: run_pipelined_attention_study()),
+    Experiment("gaudi2", "A7: Gaudi2 what-if extension",
+               lambda jobs, cards: run_generation_comparison()),
+    Experiment("energy", "A8: energy extension",
+               lambda jobs, cards: run_energy_study()),
+    Experiment("decode", "A9: KV-cached decode extension",
+               lambda jobs, cards: run_decode_study()),
+    Experiment("ablation-passes", "A10: per-pass toggle ablation",
+               lambda jobs, cards: run_pass_toggle_ablation(),
+               in_study=False),
+    Experiment("ablation-hbm", "A11: HBM contention ablation",
+               lambda jobs, cards: run_hbm_contention_ablation()),
+    Experiment("ablation-comm", "A12: communication-overlap ablation",
+               lambda jobs, cards: run_comm_overlap_ablation(
+                   num_cards=cards or 8, jobs=jobs
+               )),
+    Experiment("ablation-overlap", "A13: overlap scheduler ablation",
+               lambda jobs, cards: run_overlap_scheduler_ablation()),
+    Experiment("ablation-memory", "A14: memory planning ablation",
+               lambda jobs, cards: run_memory_ablation()),
+    Experiment("ablation-serving", "A15: static vs continuous batching",
+               lambda jobs, cards: run_serving_ablation()),
+    Experiment("ablation-parallel", "A16: multi-box parallel layouts",
+               lambda jobs, cards: run_parallel_study()),
+    Experiment("ablation-kernels", "A17: attention kernel pack",
+               lambda jobs, cards: run_kernel_pack_ablation()),
+    Experiment("ablation-backends",
+               "A18: cross-backend comparison (Gaudi vs WSE)",
+               lambda jobs, cards: run_backend_ablation()),
+)
+
+
+def run_full_study(
+    *, include_extensions: bool = True, jobs: int = 1
+) -> StudyReport:
+    """Run every in-study :data:`EXPERIMENTS` entry, in table order.
+
+    ``include_extensions=False`` keeps only the paper's own artifacts.
     ``jobs > 1`` parallelizes the multi-card simulations (A4/A12)
     across a process pool; every measurement is identical to the
     serial run.
     """
-    config = config or GaudiConfig()
     report = StudyReport()
-
-    t1 = run_op_mapping()
-    report.add("Table 1: operation-engine mapping", t1.render(), t1.checks())
-
-    t2 = run_mme_vs_tpc(config)
-    report.add("Table 2: MME vs TPC batched matmul", t2.render(), t2.checks())
-
-    attn = run_attention_study(config)
-    report.add("Figures 4-6: attention variants", attn.render(), attn.checks())
-
-    act = run_activation_study(config)
-    report.add("Figure 7: activation functions", act.render(), act.checks())
-
-    sweep = run_seq_sweep(config=config)
-    report.add("Long-sequence sweep (challenge #3)", sweep.render(),
-               sweep.checks())
-
-    for model in ("gpt", "bert"):
-        e2e = run_e2e(model, config=config)
-        fig = "Figure 8: GPT end-to-end" if model == "gpt" else \
-            "Figure 9: BERT end-to-end"
-        report.add(fig, e2e.render(), e2e.checks())
-
-    if include_extensions:
-        a1 = run_reorder_ablation("performer", config=config)
-        report.add("A1: issue-order ablation", a1.render(), a1.checks())
-
-        a2 = run_fusion_ablation("softmax", config=config)
-        report.add("A2: fusion ablation", a2.render(), a2.checks())
-
-        a3 = run_tpc_core_sweep(config=config)
-        report.add("A3: TPC core sweep", a3.render(), a3.checks())
-
-        a4 = run_scaling_study("gpt", hls1=None, jobs=jobs)
-        report.add("A4: HLS-1 scaling extension", a4.render(), a4.checks())
-
-        a5 = run_chunked_attention_study(config=config)
-        report.add("A5: chunked attention extension", a5.render(), a5.checks())
-
-        a6 = run_pipelined_attention_study(config=config)
-        report.add("A6: pipelined exact attention extension", a6.render(),
-                   a6.checks())
-
-        a7 = run_generation_comparison()
-        report.add("A7: Gaudi2 what-if extension", a7.render(), a7.checks())
-
-        a8 = run_energy_study(config)
-        report.add("A8: energy extension", a8.render(), a8.checks())
-
-        a9 = run_decode_study(config=config)
-        report.add("A9: KV-cached decode extension", a9.render(),
-                   a9.checks())
-
-        a11 = run_hbm_contention_ablation(config=config)
-        report.add("A11: HBM contention ablation", a11.render(),
-                   a11.checks())
-
-        a12 = run_comm_overlap_ablation("gpt", jobs=jobs)
-        report.add("A12: comm-overlap ablation", a12.render(),
-                   a12.checks())
-
-        a13 = run_overlap_scheduler_ablation(config=config)
-        report.add("A13: overlap scheduler ablation", a13.render(),
-                   a13.checks())
-
-        a14 = run_memory_ablation(config=config)
-        report.add("A14: memory planning ablation", a14.render(),
-                   a14.checks())
-
-        a15 = run_serving_ablation(config=config)
-        report.add("A15: static vs continuous batching", a15.render(),
-                   a15.checks())
-
-        a16 = run_parallel_study()
-        report.add("A16: multi-box parallel layouts", a16.render(),
-                   a16.checks())
-
-        a17 = run_kernel_pack_ablation(config=config)
-        report.add("A17: attention kernel pack", a17.render(),
-                   a17.checks())
-
-        a18 = run_backend_ablation(config=config)
-        report.add("A18: cross-backend comparison", a18.render(),
-                   a18.checks())
+    for experiment in EXPERIMENTS:
+        if experiment.in_study and (include_extensions or experiment.paper):
+            result = experiment.run(jobs, None)
+            report.add(experiment.title, result.render(), result.checks())
 
     from ..synapse import recipe_cache_stats
 

@@ -53,12 +53,9 @@ SWEEP_POLICIES: dict[str, tuple[tuple[str, Any], ...]] = {
     "default": (),
     "ddp": (("inject_collectives", True),),
     "no-overlap": (("inject_collectives", True), ("comm_overlap", False)),
-    "reorder": (("reorder", True), ("scheduler", "reorder")),
-    "lookahead": (("reorder", True), ("scheduler", "lookahead")),
-    "slicing": (
-        ("reorder", True), ("scheduler", "lookahead"),
-        ("tpc_slice_ops", True),
-    ),
+    "reorder": (("scheduler", "reorder"),),
+    "lookahead": (("scheduler", "lookahead"),),
+    "slicing": (("scheduler", "lookahead"), ("tpc_slice_ops", True)),
 }
 
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ...hw.costmodel import CostModel, EngineKind, OpClass, WorkItem
-from ...util.errors import CompileError, DeviceMemoryError
+from ...util.errors import CompileError, ConfigError, DeviceMemoryError
 from ...util.units import fmt_bytes
 from ..liveness import LiveInterval, LivenessResult, compute_liveness
 from ..schedule import MemoryPlan, ScheduledOp
@@ -77,9 +77,13 @@ class MemoryPlanningPass(CompilerPass):
                 f"unknown memory_policy {policy!r} "
                 f"(choices: {', '.join(MEMORY_POLICIES)})"
             )
-        budget = options.hbm_budget or state.backend.memory_capacity_bytes(
-            state.config
-        )
+        budget = options.hbm_budget
+        if budget is None:
+            budget = state.backend.memory_capacity_bytes(state.config)
+        elif budget <= 0:
+            raise ConfigError(
+                f"hbm_budget must be a positive byte count, got {budget!r}"
+            )
 
         live = compute_liveness(graph, state.ops)
         oracle_peak = live.peak_bytes

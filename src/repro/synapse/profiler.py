@@ -208,11 +208,6 @@ class SynapseProfiler:
         """Compile only (exposed for schedule inspection in tests)."""
         return self.compiler.compile(graph)
 
-    def _scheduler(self) -> str | None:
-        """Issue policy for the runtime: the configured out-of-order
-        scheduler when ``reorder`` is on, else the legacy default."""
-        return self.options.scheduler if self.options.reorder else None
-
     def profile(
         self, graph: Graph, *, device: GaudiDevice | None = None
     ) -> ProfileResult:
@@ -222,9 +217,8 @@ class SynapseProfiler:
         runtime = Runtime(device)
         result = runtime.execute(
             schedule,
-            reorder=self.options.reorder,
             hbm_contention=self.options.hbm_contention,
-            scheduler=self._scheduler(),
+            scheduler=self.options.scheduler,
             engine=self.options.sim_engine,
         )
         timeline = result.timeline.shifted(-result.start_offset_us)
@@ -288,9 +282,8 @@ class SynapseProfiler:
                 compile_event = None
             result = runtime.execute(
                 schedule,
-                reorder=self.options.reorder,
                 hbm_contention=self.options.hbm_contention,
-                scheduler=self._scheduler(),
+                scheduler=self.options.scheduler,
                 engine=self.options.sim_engine,
             )
             start = (
@@ -355,11 +348,8 @@ class HLS1Profiler:
         runtime = HLS1Runtime(system)
         result = runtime.execute(
             schedule,
-            reorder=self.options.reorder,
             hbm_contention=self.options.hbm_contention,
-            scheduler=(
-                self.options.scheduler if self.options.reorder else None
-            ),
+            scheduler=self.options.scheduler,
             engine=self.options.sim_engine,
         )
         timeline = result.timeline.shifted(-result.start_offset_us)

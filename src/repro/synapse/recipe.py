@@ -11,7 +11,7 @@ identical workload returns the cached recipe instead of re-running the
 pass pipeline. First-compile vs. cached-iteration becomes a measured
 phenomenon rather than a modeled constant.
 
-Runtime-only options (``reorder``, ``scheduler``, ``hbm_contention``,
+Runtime-only options (``scheduler``, ``hbm_contention``,
 ``use_recipe_cache``) are excluded from the key: they do not change
 the compiled schedule.
 
@@ -53,8 +53,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 #: (``incremental`` only changes how fast compilation runs — replayed
 #: pass results are byte-identical to recomputed ones)
 _RUNTIME_ONLY_OPTIONS = (
-    "reorder", "scheduler", "sim_engine", "hbm_contention",
-    "use_recipe_cache", "incremental",
+    "scheduler", "sim_engine", "hbm_contention", "use_recipe_cache",
+    "incremental",
 )
 
 #: default on-disk recipe directory when persistence is requested

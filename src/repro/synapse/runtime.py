@@ -1,10 +1,9 @@
 """Runtime: execute a compiled schedule on a simulated device.
 
 Three issue disciplines, selected by
-:attr:`~repro.synapse.compiler.CompilerOptions.reorder` and
 :attr:`~repro.synapse.compiler.CompilerOptions.scheduler`:
 
-* **in-order** (default, what SynapseAI does): each engine issues its
+* **inorder** (default, what SynapseAI does): each engine issues its
   queue strictly in program order; an op starts when its engine is free
   AND its producers are done. Engines still overlap *across* queues —
   this is what produces both the good overlap of Fig 5 and the MME idle
@@ -16,7 +15,7 @@ Three issue disciplines, selected by
   once from the uncontended durations (a lazy min-heap keyed on
   (earliest start, program order)), then executed under whichever
   memory model is active.
-* **lookahead** (the default out-of-order policy): a critical-path
+* **lookahead** (``--scheduler=lookahead``): a critical-path
   list scheduler. Ops are prioritized by *bottom level* (the longest
   uncontended dependency chain hanging off them), with an
   MME-starvation tiebreak: while the MME sits idle with nothing ready,
@@ -188,17 +187,14 @@ class Runtime:
         self,
         schedule: Schedule,
         *,
-        reorder: bool = False,
         hbm_contention: bool = True,
-        scheduler: str | None = None,
+        scheduler: str = "inorder",
         engine: str | None = None,
     ) -> ExecutionResult:
         """Run ``schedule``; the device clock keeps advancing across calls.
 
-        ``scheduler`` names the issue policy explicitly (``"inorder"``,
-        ``"reorder"``, ``"lookahead"``) and wins over the ``reorder``
-        boolean; when ``None`` the legacy mapping applies (``reorder``
-        selects the greedy planner, otherwise program order).
+        ``scheduler`` names the issue policy: ``"inorder"`` (program
+        order per engine), ``"reorder"`` or ``"lookahead"``.
 
         ``engine`` picks the fluid-loop implementation for contended
         runs: ``"vector"`` (the default) or ``"scalar"``, the per-event
@@ -211,10 +207,8 @@ class Runtime:
         # :func:`op_duration_us` exactly (see :class:`CostParts`)
         prep = _schedule_prep(schedule, cost)
         durations = prep.durations
-        order = self._plan_order(
-            schedule, durations, start_offset,
-            reorder=reorder, scheduler=scheduler,
-        )
+        order = self._plan_order(schedule, durations, start_offset,
+                                 scheduler)
         if hbm_contention:
             events, stall_total = self._execute_contended(
                 schedule, order, start_offset, engine=engine, prep=prep
@@ -264,7 +258,7 @@ class Runtime:
         """Issue ops in ``order`` with closed-form durations.
 
         With ``order`` equal to program order this is the in-order
-        discipline; with a planned order it replays the reorder
+        discipline; with a planned order it replays the out-of-order
         schedule. Either way each op starts at
         ``max(producers done, engine free)``.
         """
@@ -285,22 +279,17 @@ class Runtime:
         schedule: Schedule,
         durations: list[float],
         t0: float,
-        *,
-        reorder: bool,
-        scheduler: str | None,
+        scheduler: str,
     ) -> list[int]:
-        """Resolve the issue policy and plan the order it prescribes."""
-        policy = scheduler
-        if policy is None:
-            policy = "reorder" if reorder else "inorder"
-        if policy == "inorder":
+        """Plan the issue order the ``scheduler`` policy prescribes."""
+        if scheduler == "inorder":
             return [op.index for op in schedule.ops]
-        if policy == "reorder":
+        if scheduler == "reorder":
             return self._plan_reorder(schedule, durations, t0)
-        if policy == "lookahead":
+        if scheduler == "lookahead":
             return self._plan_lookahead(schedule, durations, t0)
         raise ExecutionError(
-            f"unknown scheduler {policy!r} "
+            f"unknown scheduler {scheduler!r} "
             "(expected 'inorder', 'reorder' or 'lookahead')"
         )
 
@@ -1291,9 +1280,8 @@ class HLS1Runtime:
         self,
         schedule: Schedule,
         *,
-        reorder: bool = False,
         hbm_contention: bool = True,
-        scheduler: str | None = None,
+        scheduler: str = "inorder",
         engine: str | None = None,
     ) -> ExecutionResult:
         """Run ``schedule`` on all cards; clocks keep advancing.
@@ -1304,7 +1292,7 @@ class HLS1Runtime:
         pinfo = schedule.stats.get("pipeline")
         if pinfo and int(pinfo.get("pp", 1) or 1) > 1:
             return self._execute_pipelined(
-                schedule, pinfo, reorder=reorder,
+                schedule, pinfo,
                 hbm_contention=hbm_contention, scheduler=scheduler,
                 engine=engine,
             )
@@ -1324,7 +1312,7 @@ class HLS1Runtime:
             for op in schedule.ops
         ]
         order = Runtime(cards[0])._plan_order(
-            schedule, durations, t0, reorder=reorder, scheduler=scheduler
+            schedule, durations, t0, scheduler
         )
 
         fabric_busy = 0.0
@@ -1424,9 +1412,8 @@ class HLS1Runtime:
         schedule: Schedule,
         pinfo: dict,
         *,
-        reorder: bool,
         hbm_contention: bool,
-        scheduler: str | None,
+        scheduler: str,
         engine: str | None,
     ) -> ExecutionResult:
         """GPipe fill/drain composition of the per-stage sub-schedules.
@@ -1477,8 +1464,8 @@ class HLS1Runtime:
         fabric_busy = 0.0
         exposed = 0.0
         kwargs = dict(
-            reorder=reorder, hbm_contention=hbm_contention,
-            scheduler=scheduler, engine=engine,
+            hbm_contention=hbm_contention, scheduler=scheduler,
+            engine=engine,
         )
         for stage in range(pp):
             full = self._stage_schedule(schedule, stage)

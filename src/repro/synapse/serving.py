@@ -131,11 +131,8 @@ class ServingRuntime:
             self.cold_compiles += 1
         result = Runtime(GaudiDevice(self.config)).execute(
             schedule,
-            reorder=self.options.reorder,
             hbm_contention=self.options.hbm_contention,
-            scheduler=(
-                self.options.scheduler if self.options.reorder else None
-            ),
+            scheduler=self.options.scheduler,
             engine=self.options.sim_engine,
         )
         cost = StepCost(

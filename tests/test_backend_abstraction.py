@@ -293,9 +293,10 @@ def event_tuples(result):
 class TestGaudiByteIdentity:
     """``backend="gaudi"`` is the pre-refactor path, bit for bit."""
 
-    @given(program_strategy, dims_strategy, st.booleans())
+    @given(program_strategy, dims_strategy,
+           st.sampled_from(["inorder", "reorder"]))
     @settings(max_examples=15, deadline=None)
-    def test_explicit_gaudi_matches_default(self, ops, dims, reorder):
+    def test_explicit_gaudi_matches_default(self, ops, dims, scheduler):
         graph = record_random(ops, dims)
         default = GraphCompiler(options=CompilerOptions()).compile(graph)
         explicit = GraphCompiler(
@@ -306,8 +307,8 @@ class TestGaudiByteIdentity:
         ] == [(op.label, op.engine, tuple(op.deps)) for op in default.ops]
         assert explicit.memory.peak_bytes == default.memory.peak_bytes
 
-        run_d = Runtime(GaudiDevice()).execute(default, reorder=reorder)
-        run_e = Runtime(GaudiDevice()).execute(explicit, reorder=reorder)
+        run_d = Runtime(GaudiDevice()).execute(default, scheduler=scheduler)
+        run_e = Runtime(GaudiDevice()).execute(explicit, scheduler=scheduler)
         assert run_e.total_time_us == run_d.total_time_us
         assert event_tuples(run_e) == event_tuples(run_d)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import run_full_study, run_seq_sweep
+from repro.core import EXPERIMENTS, run_full_study, run_seq_sweep
 
 
 class TestSeqSweep:
@@ -43,6 +43,10 @@ class TestFullStudy:
                        "Figure 8", "Figure 9", "A1", "A2", "A3", "A4", "A5",
                        "A6", "A7", "A8", "Long-sequence"):
             assert any(needle in t for t in titles), f"missing {needle}"
+
+    def test_sections_follow_the_registry(self, report):
+        titles = [e.title for e in EXPERIMENTS if e.in_study]
+        assert [t for t, _ in report.sections] == titles + ["recipe cache"]
 
     def test_check_count_substantial(self, report):
         assert len(report.checks) >= 50

@@ -293,7 +293,8 @@ class TestContendedRuntime:
         the closed-form timeline — the toggle's two paths agree."""
         schedule = GraphCompiler().compile(recorder())
         legacy = Runtime(GaudiDevice()).execute(
-            schedule, reorder=reorder, hbm_contention=False
+            schedule, hbm_contention=False,
+            scheduler="reorder" if reorder else "inorder",
         )
         rt = Runtime(GaudiDevice())
         order = list(legacy.issue_order)
@@ -312,10 +313,10 @@ class TestContendedRuntime:
     def test_contended_never_faster_with_reorder(self):
         schedule = GraphCompiler().compile(_record_overlap_heavy())
         on = Runtime(GaudiDevice()).execute(
-            schedule, reorder=True, hbm_contention=True
+            schedule, scheduler="reorder", hbm_contention=True
         )
         off = Runtime(GaudiDevice()).execute(
-            schedule, reorder=True, hbm_contention=False
+            schedule, scheduler="reorder", hbm_contention=False
         )
         assert on.total_time_us >= off.total_time_us * (1 - 1e-12)
 

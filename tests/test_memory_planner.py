@@ -42,7 +42,7 @@ from repro.synapse import (
     memory_timeline,
     recipe_key,
 )
-from repro.util.errors import CompileError, DeviceMemoryError
+from repro.util.errors import CompileError, ConfigError, DeviceMemoryError
 from repro.util.units import GIB
 
 
@@ -269,6 +269,15 @@ class TestPlannerPolicies:
                 ORACLE, memory_policy="page-to-ssd",
             )).compile(rec.graph)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_non_positive_budget_rejected(self, budget):
+        """0 must not silently mean "full capacity"."""
+        rec, _ = record_checkpointed_layer()
+        with pytest.raises(ConfigError, match="hbm_budget"):
+            GraphCompiler(options=dataclasses.replace(
+                ORACLE, hbm_budget=budget,
+            )).compile(rec.graph)
+
     def test_policy_none_still_rejects_over_budget(self):
         """The pre-planning behaviour is preserved: policy 'none' +
         enforcement raises instead of planning."""
@@ -339,8 +348,7 @@ class TestPlannerPolicies:
             ORACLE, memory_policy="spill",
             hbm_budget=activation_budget(oracle, 0.9),
         )).compile(rec.graph)
-        result = Runtime().execute(planned, reorder=True,
-                                   scheduler="lookahead")
+        result = Runtime().execute(planned, scheduler="lookahead")
         spill_events = [
             e for e in result.timeline.events if e.src == "spill"
         ]
@@ -366,8 +374,7 @@ class TestAcceptanceGptBatch32:
         stats = planned.stats["memory"]
         assert stats["spill_ops"] > 0 and stats["recompute_ops"] > 0
         assert lint_schedule(planned) == []
-        result = Runtime().execute(planned, reorder=True,
-                                   scheduler="lookahead")
+        result = Runtime().execute(planned, scheduler="lookahead")
         assert result.total_time_us > 0
 
 

@@ -2,10 +2,10 @@
 
 The ``tpc_slicing`` pass must only fire when asked, must keep numerics
 byte-identical, and must leave a graph the ``slice-reassembly`` lint
-rule can certify. The runtime's explicit ``scheduler=`` policies must
-agree with the legacy ``reorder`` boolean, reject unknown names, and
-the lookahead planner must never lose to program order on the sliced
-attention block it exists to accelerate.
+rule can certify. The runtime's ``scheduler=`` policies must default
+to program order and reject unknown names, and the lookahead planner
+must never lose to program order on the sliced attention block it
+exists to accelerate.
 """
 
 import numpy as np
@@ -118,15 +118,8 @@ class TestSchedulerPolicies:
         compiler = GraphCompiler(options=options or CompilerOptions())
         return compiler.compile(graph)
 
-    def test_options_default_policy_is_lookahead(self):
-        assert CompilerOptions().scheduler == "lookahead"
-
-    def test_explicit_reorder_matches_legacy_greedy(self):
-        schedule = self._schedule()
-        new = Runtime(GaudiDevice()).execute(schedule, scheduler="reorder")
-        old = Runtime(GaudiDevice()).execute(schedule, reorder=True)
-        assert list(new.issue_order) == list(old.issue_order)
-        assert new.total_time_us == pytest.approx(old.total_time_us)
+    def test_options_default_policy_is_inorder(self):
+        assert CompilerOptions().scheduler == "inorder"
 
     def test_explicit_inorder_matches_legacy_default(self):
         schedule = self._schedule()

@@ -103,12 +103,13 @@ class TestScheduleInvariants:
             for vid in op.writes:
                 produced_at[vid] = op.index
 
-    @given(program_strategy, dims_strategy, st.booleans())
+    @given(program_strategy, dims_strategy,
+           st.sampled_from(["inorder", "reorder"]))
     @settings(max_examples=30, deadline=None)
-    def test_no_engine_overlap_either_mode(self, ops, dims, reorder):
+    def test_no_engine_overlap_either_mode(self, ops, dims, scheduler):
         graph, _ = record_random(ops, dims)
         schedule = GraphCompiler().compile(graph)
-        result = Runtime(GaudiDevice()).execute(schedule, reorder=reorder)
+        result = Runtime(GaudiDevice()).execute(schedule, scheduler=scheduler)
         validate_no_engine_overlap(result.timeline)
 
     @given(program_strategy, dims_strategy)
@@ -118,7 +119,7 @@ class TestScheduleInvariants:
         schedule = GraphCompiler().compile(graph)
         t_in = Runtime(GaudiDevice()).execute(schedule).total_time_us
         t_re = Runtime(GaudiDevice()).execute(
-            schedule, reorder=True
+            schedule, scheduler="reorder"
         ).total_time_us
         assert t_re <= t_in * 1.001
 
@@ -144,17 +145,18 @@ class TestScheduleInvariants:
 
 
 class TestContentionInvariants:
-    @given(program_strategy, dims_strategy, st.booleans())
+    @given(program_strategy, dims_strategy,
+           st.sampled_from(["inorder", "reorder"]))
     @settings(max_examples=20, deadline=None)
-    def test_contended_never_faster(self, ops, dims, reorder):
+    def test_contended_never_faster(self, ops, dims, scheduler):
         """Sharing bandwidth can stretch a schedule, never beat it."""
         graph, _ = record_random(ops, dims)
         schedule = GraphCompiler().compile(graph)
         on = Runtime(GaudiDevice()).execute(
-            schedule, reorder=reorder, hbm_contention=True
+            schedule, scheduler=scheduler, hbm_contention=True
         )
         off = Runtime(GaudiDevice()).execute(
-            schedule, reorder=reorder, hbm_contention=False
+            schedule, scheduler=scheduler, hbm_contention=False
         )
         assert on.total_time_us >= off.total_time_us * (1 - 1e-9) - 1e-6
         assert on.contention_stall_us >= 0.0
@@ -258,24 +260,6 @@ class TestSchedulerPolicyInvariants:
         for op in schedule.ops:
             assert all(position[d] < position[op.index] for d in op.deps)
         validate_no_engine_overlap(result.timeline)
-
-    @given(program_strategy, dims_strategy)
-    @settings(max_examples=15, deadline=None)
-    def test_explicit_policies_match_legacy_bools(self, ops, dims):
-        """``scheduler=`` names reproduce the legacy ``reorder`` bool."""
-        graph, _ = record_random(ops, dims)
-        schedule = GraphCompiler().compile(graph)
-        for policy, legacy in (("inorder", False), ("reorder", True)):
-            named = Runtime(GaudiDevice()).execute(
-                schedule, scheduler=policy
-            )
-            boolean = Runtime(GaudiDevice()).execute(
-                schedule, reorder=legacy
-            )
-            assert list(named.issue_order) == list(boolean.issue_order)
-            assert named.total_time_us == pytest.approx(
-                boolean.total_time_us
-            )
 
     @given(program_strategy, dims_strategy)
     @settings(max_examples=20, deadline=None)

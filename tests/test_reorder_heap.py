@@ -71,7 +71,7 @@ class TestHeapMatchesScan:
         ref = Runtime(GaudiDevice())
         want = ref._replay(schedule, scan_order, durations, t0)
         got = Runtime(GaudiDevice()).execute(
-            schedule, reorder=True, hbm_contention=False
+            schedule, scheduler="reorder", hbm_contention=False
         ).timeline.events
         assert [
             (ev.name, ev.engine, ev.start_us, ev.dur_us) for ev in got
