@@ -29,6 +29,7 @@ and A14 (`run_memory_ablation`) are all expressed on this harness;
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import tempfile
 from dataclasses import dataclass, field
@@ -45,6 +46,7 @@ from ..synapse import (
 )
 from ..synapse.recipe import RecipeCache, recipe_key
 from ..synapse.runtime import HLS1Runtime, Runtime
+from ..util.errors import ConfigError
 from ..util.tabulate import render_table
 
 #: named option bundles selectable from ``repro sweep --policy`` — the
@@ -69,6 +71,8 @@ class SweepPoint:
     Fig. 4-6 workloads). ``overrides`` is the policy's
     :class:`~repro.synapse.CompilerOptions` delta as an ordered tuple
     of ``(field, value)`` pairs — plain data, picklable, hashable.
+    ``batch``/``seq_len`` of ``None`` mean the workload's paper shape;
+    any other value must be positive.
     """
 
     model: str
@@ -85,9 +89,29 @@ class SweepPoint:
     #: HLS-1 boxes bridged by the Ethernet tier (PR-8 multi-box sweeps)
     boxes: int = 1
 
+    def __post_init__(self) -> None:
+        for name in ("batch", "seq_len"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ConfigError(
+                    f"sweep point {name} must be positive (None = paper "
+                    f"shape), got {value}"
+                )
+
     def options(self, base: CompilerOptions) -> CompilerOptions:
-        """The point's compiler options: ``base`` + the policy delta."""
-        return dataclasses.replace(base, **dict(self.overrides))
+        """The point's compiler options: ``base`` + the policy delta.
+
+        Raises :class:`~repro.util.errors.ConfigError` when the result
+        targets a non-Gaudi backend on more than one card: only Gaudi
+        has a multi-card system model.
+        """
+        options = dataclasses.replace(base, **dict(self.overrides))
+        if options.backend != "gaudi" and self.cards * self.boxes > 1:
+            raise ConfigError(
+                f"backend {options.backend!r} models a single device; "
+                f"cards={self.cards} x boxes={self.boxes} needs gaudi"
+            )
+        return options
 
     def workload_key(self) -> tuple:
         """What determines the recorded graph (not the options)."""
@@ -143,54 +167,33 @@ class SweepSpec:
     #: each policy/kernel cell is crossed with every named backend,
     #: labelled ``policy@backend``; empty keeps the compile default
     #: (gaudi, no label suffix). Non-Gaudi backends model a single
-    #: device, so their points must keep ``cards == boxes == 1``.
+    #: device: :meth:`SweepPoint.options` rejects their points unless
+    #: ``cards == boxes == 1``.
     backend: tuple[str, ...] = ()
 
     def expand(self) -> list[SweepPoint]:
         """The grid as an ordered point list (explicit points win)."""
         if self.points is not None:
             return list(self.points)
-        kernels: tuple[str | None, ...] = self.attention or (None,)
-        backends: tuple[str | None, ...] = self.backend or (None,)
+        grid = itertools.product(
+            self.models, self.batches, self.seq_lens, self.cards,
+            self.boxes, self.policies, self.attention or (None,),
+            self.backend or (None,),
+        )
         out = []
-        for model in self.models:
-            for batch in self.batches:
-                for seq_len in self.seq_lens:
-                    for cards in self.cards:
-                        for boxes in self.boxes:
-                            for policy, overrides in self.policies:
-                                for kernel in kernels:
-                                    label = policy
-                                    if kernel is not None:
-                                        label = f"{policy}+{kernel}"
-                                        overrides_k = overrides + (
-                                            ("attention_lowering", kernel),
-                                        )
-                                    else:
-                                        overrides_k = overrides
-                                    for backend in backends:
-                                        label_b = label
-                                        overrides_b = overrides_k
-                                        if backend is not None:
-                                            label_b = f"{label}@{backend}"
-                                            overrides_b = overrides_k + (
-                                                ("backend", backend),
-                                            )
-                                        if (backend not in (None, "gaudi")
-                                                and cards * boxes > 1):
-                                            raise ValueError(
-                                                f"backend {backend!r} "
-                                                "models a single device; "
-                                                f"cards={cards} x boxes="
-                                                f"{boxes} needs gaudi"
-                                            )
-                                        out.append(SweepPoint(
-                                            model=model, batch=batch,
-                                            seq_len=seq_len, cards=cards,
-                                            boxes=boxes, policy=label_b,
-                                            overrides=overrides_b,
-                                            checkpoint=self.checkpoint,
-                                        ))
+        for (model, batch, seq_len, cards, boxes, (label, overrides),
+             kernel, backend) in grid:
+            if kernel is not None:
+                label += f"+{kernel}"
+                overrides += (("attention_lowering", kernel),)
+            if backend is not None:
+                label += f"@{backend}"
+                overrides += (("backend", backend),)
+            out.append(SweepPoint(
+                model=model, batch=batch, seq_len=seq_len, cards=cards,
+                boxes=boxes, policy=label, overrides=overrides,
+                checkpoint=self.checkpoint,
+            ))
         return out
 
 
@@ -291,8 +294,9 @@ def _hls1_metrics(
     """Execute one schedule on ``boxes`` boxes of ``cards`` cards.
 
     A non-Gaudi ``backend`` has no multi-card system model: its points
-    (already validated to ``cards == boxes == 1``) execute on that
-    backend's single device instead of the HLS-1 population.
+    (``cards == boxes == 1``, checked by :meth:`SweepPoint.options`)
+    execute on that backend's single device instead of the HLS-1
+    population.
     """
     if backend != "gaudi":
         from ..hw.backend import get_backend
@@ -343,7 +347,7 @@ def _sweep_worker(payload) -> dict:
             source = "disk" if cache.disk_hits else "memory"
     metrics = _hls1_metrics(
         schedule, hls1, point.cards, point.boxes,
-        backend=getattr(options, "backend", "gaudi"),
+        backend=options.backend,
     )
     metrics["compile"] = source
     return metrics
@@ -420,7 +424,12 @@ def run_sweep(
     base = options if options is not None else default_compiler_options()
     points = spec.expand()
     if not points:
-        raise ValueError(f"sweep {spec.name!r} declares no points")
+        raise ConfigError(f"sweep {spec.name!r} declares no points")
+    if spec.executor not in ("hls1", "profile"):
+        raise ConfigError(f"unknown sweep executor {spec.executor!r}")
+    # every point's options up front: an illegal point fails the sweep
+    # before any point runs
+    resolved = [(point, point.options(base)) for point in points]
     graphs = graphs if graphs is not None else {}
 
     opened = None
@@ -430,20 +439,15 @@ def run_sweep(
         if spec.executor == "profile":
             result = SweepResult(spec=spec)
             cfg = config or GaudiConfig()
-            for point in points:
-                pr = _profile_point(
-                    point, cfg, point.options(base), graphs
-                )
+            for point, opts in resolved:
+                pr = _profile_point(point, cfg, opts, graphs)
                 if stream is not None:
                     _emit(stream, spec, pr)
                 result.results.append(pr)
             return result
-        if spec.executor != "hls1":
-            raise ValueError(f"unknown sweep executor {spec.executor!r}")
-
         if jobs > 1:
             return _run_hls1_pool(
-                spec, points, hls1, base, jobs, stream, recipe_dir, graphs
+                spec, resolved, hls1, jobs, stream, recipe_dir, graphs
             )
 
         # serial: one shared in-memory recipe cache across the sweep,
@@ -452,8 +456,7 @@ def run_sweep(
             maxsize=max(32, len(points)), save_dir=recipe_dir
         )
         result = SweepResult(spec=spec)
-        for point in points:
-            opts = point.options(base)
+        for point, opts in resolved:
             wkey = point.workload_key()
             if wkey not in graphs:
                 graphs[wkey] = _workload_graph(point)
@@ -467,7 +470,7 @@ def run_sweep(
                 )
             metrics = _hls1_metrics(
                 schedule, hls1, point.cards, point.boxes,
-                backend=getattr(opts, "backend", "gaudi"),
+                backend=opts.backend,
             )
             metrics["compile"] = source
             pr = PointResult(point=point, metrics=metrics)
@@ -481,7 +484,7 @@ def run_sweep(
 
 
 def _run_hls1_pool(
-    spec, points, hls1, base, jobs, stream, recipe_dir, graphs
+    spec, resolved, hls1, jobs, stream, recipe_dir, graphs
 ) -> SweepResult:
     """The fan-out path: parent-warmed disk recipes, pooled workers."""
     from concurrent.futures import ProcessPoolExecutor
@@ -496,41 +499,33 @@ def _run_hls1_pool(
         from ..hw.backend import get_backend
 
         cache = RecipeCache(
-            maxsize=max(32, len(points)), save_dir=recipe_dir
+            maxsize=max(32, len(resolved)), save_dir=recipe_dir
         )
-        keys: dict[SweepPoint, str | None] = {}
+        payloads = []
         compiled: set[str] = set()
-        for point in points:
-            opts = point.options(base)
-            if not opts.use_recipe_cache:
-                keys[point] = None  # the worker compiles this one
-                continue
-            wkey = point.workload_key()
-            if wkey not in graphs:
-                graphs[wkey] = _workload_graph(point)
-            # key with the backend-coerced config, exactly as the
-            # compiler will, so warmed recipes hit in the workers
-            coerced = get_backend(
-                getattr(opts, "backend", "gaudi")
-            ).coerce_config(hls1.card)
-            key = recipe_key(graphs[wkey], coerced, opts)
-            keys[point] = key
-            if key not in compiled:
-                GraphCompiler(
-                    hls1.card, opts, cache=cache
-                ).compile(graphs[wkey])
-                compiled.add(key)
+        for point, opts in resolved:
+            key = None  # without a recipe cache the worker compiles
+            if opts.use_recipe_cache:
+                wkey = point.workload_key()
+                if wkey not in graphs:
+                    graphs[wkey] = _workload_graph(point)
+                # key with the backend-coerced config, exactly as the
+                # compiler will, so warmed recipes hit in the workers
+                coerced = get_backend(opts.backend).coerce_config(hls1.card)
+                key = recipe_key(graphs[wkey], coerced, opts)
+                if key not in compiled:
+                    GraphCompiler(
+                        hls1.card, opts, cache=cache
+                    ).compile(graphs[wkey])
+                    compiled.add(key)
+            payloads.append((point, hls1, opts, str(recipe_dir), key))
 
-        payloads = [
-            (p, hls1, p.options(base), str(recipe_dir), keys[p])
-            for p in points
-        ]
         result = SweepResult(spec=spec)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             # pool.map yields in submission order: the stream stays
             # in spec order at any width
-            for point, metrics in zip(
-                points, pool.map(_sweep_worker, payloads)
+            for (point, _), metrics in zip(
+                resolved, pool.map(_sweep_worker, payloads)
             ):
                 pr = PointResult(point=point, metrics=metrics)
                 if stream is not None:
@@ -626,13 +621,13 @@ def sweep_spec_from_cli(
     unknown = [p for p in policies if p not in SWEEP_POLICIES]
     if unknown:
         known = ", ".join(sorted(SWEEP_POLICIES))
-        raise ValueError(
+        raise ConfigError(
             f"unknown sweep policy {unknown[0]!r} (known: {known})"
         )
     attention_t = tuple(attention)
     bad = [a for a in attention_t if a not in ATTENTION_LOWERINGS]
     if bad:
-        raise ValueError(
+        raise ConfigError(
             f"unknown attention kernel {bad[0]!r} (known: "
             f"{', '.join(ATTENTION_LOWERINGS)})"
         )
@@ -640,16 +635,16 @@ def sweep_spec_from_cli(
     for name in backend_t:
         get_backend(name)  # raises ConfigError on unknown backends
     if tp < 1 or pp < 1:
-        raise ValueError(f"tp/pp must be >= 1, got tp={tp} pp={pp}")
+        raise ConfigError(f"tp/pp must be >= 1, got tp={tp} pp={pp}")
     if auto_layout and (tp > 1 or pp > 1):
-        raise ValueError("--auto-layout already picks tp/pp; drop "
-                         "the explicit --tp/--pp flags")
+        raise ConfigError("--auto-layout already picks tp/pp; drop "
+                          "the explicit --tp/--pp flags")
     if auto_layout and attention_t:
-        raise ValueError("--auto-layout replaces the policy axis; it "
-                         "cannot be crossed with --attention-kernel")
+        raise ConfigError("--auto-layout replaces the policy axis; it "
+                          "cannot be crossed with --attention-kernel")
     if auto_layout and any(b != "gaudi" for b in backend_t):
-        raise ValueError("--auto-layout plans HLS-1 populations; the "
-                         "backend axis must stay gaudi")
+        raise ConfigError("--auto-layout plans HLS-1 populations; the "
+                          "backend axis must stay gaudi")
     models_t = tuple(models) or ("gpt",)
     batches_t = tuple(batches) or (None,)
     seq_lens_t = tuple(seq_lens) or (None,)

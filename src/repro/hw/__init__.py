@@ -39,14 +39,14 @@ from .costmodel import (
     WorkItem,
     tpc_matmul_cycles,
 )
-from .des import EngineTimeline, EventQueue, Interval
+from .des import EngineTimeline, Interval
 from .energy import (
     EnergyBreakdown,
     EnergyConfig,
     joules_per_token,
     schedule_energy,
 )
-from .device import GaudiDevice, HLS1System, default_device
+from .device import GaudiDevice, default_device
 from .dtypes import (
     DType,
     TPC_VECTOR_BITS,
@@ -59,7 +59,6 @@ from .dtypes import (
 from .interconnect import (
     AllGather,
     CollectiveCost,
-    HostLink,
     RingAllReduce,
     data_parallel_step_time_us,
     scaling_efficiency,
@@ -100,10 +99,8 @@ __all__ = [
     "joules_per_token",
     "schedule_energy",
     "EngineTimeline",
-    "EventQueue",
     "Interval",
     "GaudiDevice",
-    "HLS1System",
     "default_device",
     "DType",
     "TPC_VECTOR_BITS",
@@ -114,7 +111,6 @@ __all__ = [
     "simd_lanes",
     "AllGather",
     "CollectiveCost",
-    "HostLink",
     "RingAllReduce",
     "data_parallel_step_time_us",
     "scaling_efficiency",

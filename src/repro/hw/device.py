@@ -9,8 +9,6 @@ advancing) or be reset between experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .config import GaudiConfig, HLS1Config
 from .costmodel import CostModel, EngineKind
 from .des import EngineTimeline
@@ -67,41 +65,10 @@ class GaudiDevice:
         )
 
 
-@dataclass
-class HLS1System:
-    """An HLS-1 box: eight Gaudi cards behind two PCIe Gen4 switches.
-
-    The paper runs on a single card of an HLS-1 (§3.1); the system
-    object exists for the multi-card scaling extension and for host
-    dataloading cost accounting.
-    """
-
-    config: HLS1Config
-
-    def __post_init__(self) -> None:
-        self.cards = [
-            GaudiDevice(self.config.card) for _ in range(self.config.num_cards)
-        ]
-
-    def __len__(self) -> int:
-        return len(self.cards)
-
-    def card(self, index: int) -> GaudiDevice:
-        """The ``index``-th Gaudi in the box."""
-        return self.cards[index]
-
-    def reset(self) -> None:
-        """Reset every card."""
-        for card in self.cards:
-            card.reset()
-
-
 class HLS1Device:
     """N Gaudi cards plus the shared fabric tiers, as one device.
 
-    Unlike :class:`HLS1System` (a bag of independent cards used for
-    cost accounting), an ``HLS1Device`` is what the multi-card runtime
-    executes onto: every card replays the same data-parallel schedule
+    This is what the multi-card runtime executes onto: every card replays the same data-parallel schedule
     on its own clock, and collective ops synchronize the clocks through
     the fabric. With ``boxes=1`` the fabric is the flat pool of
     ``num_cards`` ring links; multi-box configs add the inter-box

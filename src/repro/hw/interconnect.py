@@ -458,21 +458,6 @@ def scale_plan(plan: CollectivePlan, groups: int) -> CollectivePlan:
     )
 
 
-class HostLink:
-    """PCIe Gen4 path between the external host CPU and a card (§3.1)."""
-
-    def __init__(self, config: InterconnectConfig):
-        self.config = config
-
-    def transfer_time_us(self, payload_bytes: int) -> float:
-        """Host<->device copy duration."""
-        if payload_bytes < 0:
-            raise ConfigError(f"payload_bytes must be >= 0, got {payload_bytes}")
-        return self.config.pcie_latency_us + s_to_us(
-            payload_bytes / self.config.pcie_bandwidth_bytes_per_s
-        )
-
-
 def data_parallel_step_time_us(
     compute_time_us: float,
     gradient_bytes: int,

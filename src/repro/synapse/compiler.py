@@ -57,6 +57,7 @@ from dataclasses import dataclass
 
 from ..hw.backend import get_backend
 from ..hw.config import GaudiConfig
+from ..util.errors import ConfigError
 from .graph import Graph
 from .passes import PASS_OPTION_FLAGS, PassManager, default_passes
 from .recipe import RecipeCache, recipe_key
@@ -86,10 +87,6 @@ class CompilerOptions:
     #: (``--no-hbm-contention``). Runtime-only: does not change the
     #: compiled schedule, only how the runtime times it.
     hbm_contention: bool = True
-    #: host recompilation penalty for poorly supported ops (GLU)
-    recompile_penalty_us: float = 2500.0
-    #: charge the penalty only on the first occurrence of each op kind
-    recompile_once: bool = True
     #: reject schedules whose peak footprint exceeds HBM capacity
     enforce_memory: bool = True
     #: run structural graph validation before compiling
@@ -101,15 +98,6 @@ class CompilerOptions:
     plan_memory: bool = True
     #: memoize compiled schedules by graph/config/options signature
     use_recipe_cache: bool = True
-    #: incremental recompilation: cache pass results by the
-    #: sub-signature of the inputs each pass actually reads, so recipe
-    #: misses that change only geometry (batch/seq) or downstream
-    #: options replay the structural decisions (validate, view
-    #: elision, fusion grouping, recompile marks, DMA staging) and
-    #: re-run only shape-dependent stages. Replayed compiles are
-    #: byte-identical to cold ones; per-pass hit/miss lands in
-    #: ``Schedule.stats["passes"]`` (``--no-incremental``)
-    incremental: bool = True
     #: bucket marked parameter gradients into all-reduce NIC ops (the
     #: multi-card DDP path; harmless but off by default for single-card
     #: experiments)
@@ -127,11 +115,6 @@ class CompilerOptions:
     #: if the compiler detected independence" ablations. Runtime-only:
     #: selects how the runtime orders ready ops.
     scheduler: str = "inorder"
-    #: fluid-loop implementation: ``"vector"`` (the production engine)
-    #: or ``"scalar"`` (the per-event reference it is byte-identical
-    #: to). Runtime-only: never changes timings, only how fast the
-    #: simulator computes them (``--sim-engine``).
-    sim_engine: str = "vector"
     #: split large batch-parallel TPC ops (softmax, feature-map exp,
     #: activations) into row slices that pipeline against pending MME
     #: work (the ``tpc_slicing`` pass; off by default — it changes the
@@ -194,7 +177,7 @@ def disable_passes(
         flag = PASS_OPTION_FLAGS.get(name)
         if flag is None:
             known = ", ".join(sorted(PASS_OPTION_FLAGS))
-            raise ValueError(
+            raise ConfigError(
                 f"unknown or non-disableable pass {name!r} (known: {known})"
             )
         flags[flag] = False

@@ -74,14 +74,6 @@ class LivenessResult:
     #: values internal to fused chains (never materialized in HBM)
     fused_internal: set[int] = field(default_factory=set)
 
-    def live_vids_at(self, pos: int) -> set[int]:
-        """Value ids live at schedule position ``pos``."""
-        return {
-            vid
-            for vid, spans in self.intervals.items()
-            if any(s.covers(pos) for s in spans)
-        }
-
 
 def fused_internal_values(graph: Graph, ops: list[ScheduledOp]) -> set[int]:
     """Values produced and consumed inside one fused chain.

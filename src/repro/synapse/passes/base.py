@@ -108,19 +108,19 @@ class PassManager:
     def run(self, graph: Graph) -> Schedule:
         """Compile ``graph`` through every pass; raises on OOM/invalid.
 
-        With ``options.incremental`` (the default), passes that declare
-        a replayable effect consult the process-wide pass cache: a hit
-        replays the recorded decisions against the current state
-        (byte-identical to re-running — the cache key covers every
-        input the pass reads), a miss runs the pass and records it.
+        Passes that declare a replayable effect consult the
+        process-wide pass cache: a hit replays the recorded decisions
+        against the current state (byte-identical to re-running — the
+        cache key covers every input the pass reads), a miss runs the
+        pass and records it. ``reset_pass_cache()`` empties the cache
+        for a cold compile.
         Each stats entry carries ``incremental: "hit"|"miss"`` for
         cacheable passes and ``""`` otherwise; the compile-level
         summary lands in ``stats["incremental"]``.
         """
         state = CompilationState(graph=graph, config=self.config,
                                  options=self.options)
-        use_cache = bool(getattr(self.options, "incremental", False))
-        cache = pass_cache() if use_cache else None
+        cache = pass_cache()
         # signatures are per graph *object*: a rewrite (lowering,
         # slicing) swaps the object and naturally invalidates these
         sigs: dict[str, str] = {}
@@ -142,7 +142,7 @@ class PassManager:
                 + (f":{opt_values!r}" if enabled else "")
             )
             units_in = state.unit_count()
-            cacheable = use_cache and enabled and compiler_pass.incremental
+            cacheable = enabled and compiler_pass.incremental
             key = None
             mode = ""
             t0 = time.perf_counter()
@@ -184,10 +184,9 @@ class PassManager:
             }
             entry.update(extra)
             state.stats["passes"].append(entry)
-        if use_cache:
-            state.stats["incremental"] = {
-                "reused": reused, "recomputed": recomputed,
-            }
+        state.stats["incremental"] = {
+            "reused": reused, "recomputed": recomputed,
+        }
         return Schedule(
             graph=state.graph,
             ops=state.ops if state.ops is not None else [],

@@ -15,6 +15,7 @@ from __future__ import annotations
 from ...hw.costmodel import EngineKind, OpClass, WorkItem
 from ..schedule import ScheduledOp
 from .base import CompilerPass
+from .recompile import RECOMPILE_PENALTY_US
 from .state import CompilationState
 
 
@@ -44,7 +45,7 @@ class EmitSchedulePass(CompilerPass):
                     engine=state.backend.host_engine,
                     items=(WorkItem(
                         f"recompile:{first.op}", OpClass.HOST,
-                        fixed_time_us=state.options.recompile_penalty_us,
+                        fixed_time_us=RECOMPILE_PENALTY_US,
                     ),),
                     src=first.src, scope=first.scope,
                 )

@@ -3,16 +3,21 @@
 The paper's GLU finding (§3.3): SynapseAI meets an op it supports
 badly and performs "extra compilation during the execution" — a host
 event that stalls everything behind it (Fig 7's GLU bubble). The pass
-marks which pending ops must be preceded by such an event, honouring
-``recompile_once`` (charge only the first occurrence of each op kind).
-Emission materializes the HOST ops; disabling the pass models a
-runtime with full kernel coverage.
+marks the first occurrence of each poorly supported op kind: SynapseAI
+compiles the kernel once, so later occurrences replay it for free.
+Emission materializes the HOST ops, each charged
+:data:`RECOMPILE_PENALTY_US`; disabling the pass models a runtime with
+full kernel coverage.
 """
 
 from __future__ import annotations
 
 from .base import CompilerPass
 from .state import CompilationState
+
+#: host stall of one recompilation event (us) — the §3.3 GLU bubble,
+#: calibrated in docs/CALIBRATION.md
+RECOMPILE_PENALTY_US = 2500.0
 
 
 class RecompileInjectionPass(CompilerPass):
@@ -21,9 +26,8 @@ class RecompileInjectionPass(CompilerPass):
     name = "recompile_injection"
     option_flag = "inject_recompiles"
     # which ops are poorly supported is an op-registry fact; the
-    # penalty magnitude (recompile_penalty_us) is charged at emission
+    # penalty magnitude (RECOMPILE_PENALTY_US) is charged at emission
     signature_deps = ("structure",)
-    option_deps = ("recompile_once",)
     incremental = True
 
     def record(self, state: CompilationState) -> dict:
@@ -38,15 +42,13 @@ class RecompileInjectionPass(CompilerPass):
         return {"transforms": len(payload["marked"])}
 
     def run(self, state: CompilationState) -> dict:
-        """Flag unsupported ops per the ``recompile_once`` policy."""
+        """Flag the first pending op of each unsupported op kind."""
         assert state.pending is not None, "grouping must run before recompile"
         recompiled: set[str] = set()
         marked = 0
         for pending in state.pending:
             first = pending.nodes[0]
-            if state.opdef(first.op).supported:
-                continue
-            if first.op in recompiled and state.options.recompile_once:
+            if state.opdef(first.op).supported or first.op in recompiled:
                 continue
             recompiled.add(first.op)
             pending.needs_recompile = True

@@ -219,7 +219,6 @@ class SynapseProfiler:
             schedule,
             hbm_contention=self.options.hbm_contention,
             scheduler=self.options.scheduler,
-            engine=self.options.sim_engine,
         )
         timeline = result.timeline.shifted(-result.start_offset_us)
         return ProfileResult(
@@ -250,7 +249,7 @@ class SynapseProfiler:
         normalized to its own start.
         """
         if iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {iterations}")
+            raise ConfigError(f"iterations must be >= 1, got {iterations}")
         device = device or self.backend.make_device(self.config)
         runtime = Runtime(device)
         results: list[ProfileResult] = []
@@ -284,7 +283,6 @@ class SynapseProfiler:
                 schedule,
                 hbm_contention=self.options.hbm_contention,
                 scheduler=self.options.scheduler,
-                engine=self.options.sim_engine,
             )
             start = (
                 compile_event.start_us if compile_event is not None
@@ -350,7 +348,6 @@ class HLS1Profiler:
             schedule,
             hbm_contention=self.options.hbm_contention,
             scheduler=self.options.scheduler,
-            engine=self.options.sim_engine,
         )
         timeline = result.timeline.shifted(-result.start_offset_us)
         return ProfileResult(

@@ -50,12 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from .compiler import CompilerOptions
 
 #: CompilerOptions fields that do not affect the compiled schedule
-#: (``incremental`` only changes how fast compilation runs — replayed
-#: pass results are byte-identical to recomputed ones)
-_RUNTIME_ONLY_OPTIONS = (
-    "scheduler", "sim_engine", "hbm_contention", "use_recipe_cache",
-    "incremental",
-)
+_RUNTIME_ONLY_OPTIONS = ("scheduler", "hbm_contention", "use_recipe_cache")
 
 #: default on-disk recipe directory when persistence is requested
 #: without an explicit path (``--recipe-cache-dir`` with no argument)

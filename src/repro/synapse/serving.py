@@ -133,7 +133,6 @@ class ServingRuntime:
             schedule,
             hbm_contention=self.options.hbm_contention,
             scheduler=self.options.scheduler,
-            engine=self.options.sim_engine,
         )
         cost = StepCost(
             key=key,

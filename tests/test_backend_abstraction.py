@@ -26,7 +26,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro import ht
 from repro.core.e2e_llm import record_forward_step, record_training_step
-from repro.core.sweep import SweepSpec, sweep_spec_from_cli
+from repro.cli import main
+from repro.core.sweep import SweepSpec, run_sweep, sweep_spec_from_cli
 from repro.ht import functional as F
 from repro.hw.backend import (
     GaudiBackend,
@@ -366,8 +367,13 @@ class TestSweepBackendAxis:
 
     def test_non_gaudi_backend_rejects_populations(self):
         spec = SweepSpec(name="t", cards=(4,), backend=("wse",))
-        with pytest.raises(ValueError, match="single device"):
-            spec.expand()
+        with pytest.raises(ConfigError, match="single device"):
+            run_sweep(spec)
+
+    @pytest.mark.parametrize("experiment", ["scaling", "ablation-comm"])
+    def test_multi_card_experiments_reject_non_gaudi(self, experiment):
+        with pytest.raises(ConfigError, match="single device"):
+            main(["--backend", "wse", experiment])
 
     def test_cli_spec_validates_backend_names(self):
         with pytest.raises(ConfigError, match="unknown backend"):

@@ -25,7 +25,7 @@ from repro.synapse import (
     disable_passes,
     execute_schedule,
 )
-from repro.util.errors import CompileError
+from repro.util.errors import CompileError, ConfigError
 
 PASS_ORDER = [
     "validate", "attention_lowering", "tpc_slicing", "lower_composites",
@@ -107,9 +107,9 @@ class TestPassToggles:
         assert options.lower_composites is True  # untouched
 
     def test_disable_unknown_pass_raises(self):
-        with pytest.raises(ValueError, match="emit"):
+        with pytest.raises(ConfigError, match="emit"):
             disable_passes(CompilerOptions(), "emit")
-        with pytest.raises(ValueError, match="nope"):
+        with pytest.raises(ConfigError, match="nope"):
             disable_passes(CompilerOptions(), "nope")
 
     def test_fusion_off_marks_entry_disabled(self):

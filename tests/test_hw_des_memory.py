@@ -3,49 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.hw import EngineTimeline, EventQueue, Interval, MemoryTracker
+from repro.hw import EngineTimeline, Interval, MemoryTracker
 from repro.hw.memory import plan_peak_bytes
 from repro.util.errors import DeviceMemoryError, ExecutionError
-
-
-class TestEventQueue:
-    def test_time_order(self):
-        q = EventQueue()
-        q.push(3.0, "c")
-        q.push(1.0, "a")
-        q.push(2.0, "b")
-        assert [q.pop()[1] for _ in range(3)] == ["a", "b", "c"]
-
-    def test_fifo_tie_break(self):
-        q = EventQueue()
-        q.push(1.0, "first")
-        q.push(1.0, "second")
-        assert q.pop()[1] == "first"
-        assert q.pop()[1] == "second"
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(ExecutionError):
-            EventQueue().pop()
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ExecutionError):
-            EventQueue().push(-1.0, "x")
-
-    def test_peek_and_len(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        assert not q
-        q.push(5.0, "x")
-        assert q.peek_time() == 5.0
-        assert len(q) == 1
-
-    @given(st.lists(st.floats(min_value=0, max_value=1e6), max_size=50))
-    def test_pops_always_sorted(self, times):
-        q = EventQueue()
-        for t in times:
-            q.push(t, None)
-        popped = [q.pop()[0] for _ in range(len(times))]
-        assert popped == sorted(popped)
 
 
 class TestEngineTimeline:

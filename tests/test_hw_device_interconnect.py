@@ -7,9 +7,6 @@ from repro.hw import (
     EngineKind,
     GaudiConfig,
     GaudiDevice,
-    HLS1Config,
-    HLS1System,
-    HostLink,
     InterconnectConfig,
     RingAllReduce,
     data_parallel_step_time_us,
@@ -49,19 +46,6 @@ class TestGaudiDevice:
         dev = GaudiDevice(GaudiConfig(), enforce_memory=False)
         dev.hbm.alloc(10**14)  # way past 32 GiB, allowed when not enforcing
         assert dev.hbm.peak_bytes == 10**14
-
-
-class TestHLS1System:
-    def test_eight_cards(self):
-        box = HLS1System(HLS1Config())
-        assert len(box) == 8
-        assert box.card(0) is not box.card(1)
-
-    def test_reset_all(self):
-        box = HLS1System(HLS1Config(num_cards=2))
-        box.card(0).timeline(EngineKind.MME).reserve(0.0, 5.0)
-        box.reset()
-        assert box.card(0).now == 0.0
 
 
 class TestRingAllReduce:
@@ -105,14 +89,6 @@ class TestAllGatherHostLink:
         assert ag.cost(4, 10**8).time_us == pytest.approx(
             3 * 10**8 / InterconnectConfig().roce_bandwidth_bytes_per_s * 1e6
         )
-
-    def test_host_link(self):
-        cfg = InterconnectConfig(pcie_bandwidth_bytes_per_s=1e9, pcie_latency_us=5.0)
-        assert HostLink(cfg).transfer_time_us(10**9) == pytest.approx(1e6 + 5.0)
-
-    def test_host_link_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            HostLink(InterconnectConfig()).transfer_time_us(-1)
 
 
 class TestDataParallelStep:

@@ -22,7 +22,6 @@ from repro.synapse.passes import (
     CompilerPass,
     PassResultCache,
     default_passes,
-    pass_cache_stats,
     reset_pass_cache,
 )
 from repro.synapse.recipe import geometry_signature, structure_signature
@@ -50,10 +49,9 @@ def record_step(batch, width=32, depth=3):
     return rec.graph
 
 
-def compile_graph(graph, *, incremental, **overrides):
+def compile_graph(graph, **overrides):
     options = dataclasses.replace(
         default_compiler_options(),
-        incremental=incremental,
         use_recipe_cache=False,
         inject_collectives=True,
         **overrides,
@@ -90,8 +88,8 @@ class TestComponentSignatures:
 
 class TestIncrementalReuse:
     def test_batch_sweep_replays_structural_passes(self):
-        compile_graph(record_step(4), incremental=True)
-        warm = compile_graph(record_step(8), incremental=True)
+        compile_graph(record_step(4))
+        warm = compile_graph(record_step(8))
         modes = {
             e["pass"]: e["incremental"]
             for e in warm.stats["passes"] if e["incremental"]
@@ -115,8 +113,8 @@ class TestIncrementalReuse:
         assert small.name != large.name
         assert structure_signature(small) == structure_signature(large)
         assert geometry_signature(small) != geometry_signature(large)
-        compile_graph(small, incremental=True)
-        warm = compile_graph(large, incremental=True)
+        compile_graph(small)
+        warm = compile_graph(large)
         modes = {
             e["pass"]: e["incremental"]
             for e in warm.stats["passes"] if e["incremental"]
@@ -126,56 +124,59 @@ class TestIncrementalReuse:
             assert modes[name] == "hit", name
         assert warm.graph.name == large.name
         reset_pass_cache()
-        cold = compile_graph(large, incremental=True)
+        cold = compile_graph(large)
         assert canonical(warm) == canonical(cold)
 
     def test_option_sweep_replays_everything_cacheable(self):
         graph = record_step(8)
-        compile_graph(graph, incremental=True)
-        warm = compile_graph(graph, incremental=True, bucket_mb=1.0)
+        compile_graph(graph)
+        warm = compile_graph(graph, bucket_mb=1.0)
         assert warm.stats["incremental"] == {"reused": 6, "recomputed": 0}
 
-    def test_read_option_change_invalidates_its_pass(self):
+    def test_read_option_change_invalidates_downstream(self):
+        # attention_window does not change a naive-lowered graph, but
+        # the attention pass declares it, so its value keys every
+        # downstream pass while upstream validate still replays
         graph = record_step(8)
-        compile_graph(graph, incremental=True)
-        warm = compile_graph(graph, incremental=True, recompile_once=False)
+        compile_graph(graph)
+        warm = compile_graph(graph, attention_window=256)
         modes = {
             e["pass"]: e["incremental"]
             for e in warm.stats["passes"] if e["incremental"]
         }
-        assert modes["recompile_injection"] == "miss"
-        assert modes["elementwise_fusion"] == "hit"
+        assert modes == {
+            "validate": "hit",
+            "lower_composites": "miss",
+            "view_elision": "miss",
+            "elementwise_fusion": "miss",
+            "recompile_injection": "miss",
+            "dma_staging": "miss",
+        }
 
     def test_upstream_ablation_invalidates_downstream(self):
         # fusion off changes the grouping; dma_staging results recorded
         # under the fused pipeline must not replay into the unfused one
         graph = record_step(8)
-        fused = compile_graph(graph, incremental=True)
-        unfused = compile_graph(
-            graph, incremental=True, fuse_elementwise=False
-        )
+        fused = compile_graph(graph)
+        unfused = compile_graph(graph, fuse_elementwise=False)
         modes = {
             e["pass"]: e["incremental"]
             for e in unfused.stats["passes"] if e["incremental"]
         }
         assert modes["dma_staging"] == "miss"
-        reference = compile_graph(
-            graph, incremental=False, fuse_elementwise=False
-        )
+        reset_pass_cache()
+        reference = compile_graph(graph, fuse_elementwise=False)
         assert canonical(unfused) == canonical(reference)
         assert canonical(fused) != canonical(unfused)
 
-    def test_incremental_off_never_touches_cache(self):
-        compile_graph(record_step(4), incremental=False)
-        stats = pass_cache_stats()
-        assert stats["hits"] == 0 and stats["misses"] == 0
-
     @pytest.mark.parametrize("batch", [4, 8, 16])
     def test_replayed_compiles_byte_identical(self, batch):
-        # warm the cache from a different sweep point first
-        compile_graph(record_step(2), incremental=True)
-        cold = compile_graph(record_step(batch), incremental=False)
-        warm = compile_graph(record_step(batch), incremental=True)
+        cold = compile_graph(record_step(batch))  # fixture-emptied cache
+        # warm the cache from a different sweep point, then replay
+        reset_pass_cache()
+        compile_graph(record_step(2))
+        warm = compile_graph(record_step(batch))
+        assert warm.stats["incremental"]["reused"] > 0
         assert canonical(warm) == canonical(cold)
 
     def test_maxsize_must_be_positive(self):

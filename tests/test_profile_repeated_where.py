@@ -7,6 +7,7 @@ from repro import ht
 from repro.ht import functional as F
 from repro.hw.costmodel import EngineKind
 from repro.synapse import SynapseProfiler
+from repro.util.errors import ConfigError
 
 
 def small_graph():
@@ -53,7 +54,7 @@ class TestProfileRepeated:
         )
 
     def test_invalid_iterations(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="iterations"):
             SynapseProfiler().profile_repeated(small_graph(), 0)
 
 

@@ -10,13 +10,18 @@ and both contention modes:
 * ``ExecutionResult``s from both engines carry *equal* ``TraceEvent``
   lists (dataclass ``==`` — every field, every event, in order) and
   equal aggregate floats (no tolerance);
-* the same holds end-to-end through the profiler layer, where
-  ``CompilerOptions.sim_engine`` selects the engine: ``ProfileResult``
-  timelines and derived aggregates match exactly.
+* the same holds end-to-end through ``SynapseProfiler`` and
+  ``HLS1Profiler``, which run the default engine: patching
+  ``runtime.DEFAULT_SIM_ENGINE`` to ``"scalar"`` swaps in the reference
+  loop, and ``ProfileResult`` timelines and derived aggregates match
+  exactly. Pipelined (pp > 1) runs are covered in
+  ``test_lazy_timeline.py``.
 """
 
 import dataclasses
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ht
@@ -29,8 +34,10 @@ from repro.synapse import (
     HLS1Runtime,
     Runtime,
     default_compiler_options,
+    runtime,
 )
 from repro.synapse.profiler import HLS1Profiler, SynapseProfiler
+from repro.util.errors import ExecutionError
 
 
 def record_step(width, depth, batch):
@@ -53,6 +60,11 @@ def compile_step(graph, bucket_mb, *, collectives=True):
         bucket_mb=bucket_mb,
     )
     return GraphCompiler(options=options).compile(graph)
+
+
+def default_engine(engine):
+    """Make ``engine`` the fluid loop a caller gets by not naming one."""
+    return mock.patch.object(runtime, "DEFAULT_SIM_ENGINE", engine)
 
 
 def assert_results_identical(r_scalar, r_vector):
@@ -116,12 +128,12 @@ class TestEngineEquivalenceProperties:
                 default_compiler_options(),
                 bucket_mb=bucket_mb,
                 hbm_contention=contention,
-                sim_engine=engine,
             )
             profiler = HLS1Profiler(
                 HLS1Config(num_cards=cards), options
             )
-            profiles[engine] = profiler.profile(graph)
+            with default_engine(engine):
+                profiles[engine] = profiler.profile(graph)
         ps, pv = profiles["scalar"], profiles["vector"]
         assert ps.timeline.events == pv.timeline.events
         assert ps.total_time_us == pv.total_time_us
@@ -144,10 +156,21 @@ class TestEngineEquivalenceProperties:
             options = dataclasses.replace(
                 default_compiler_options(),
                 hbm_contention=contention,
-                sim_engine=engine,
             )
             profiler = SynapseProfiler(GaudiConfig(), options)
-            profiles[engine] = profiler.profile(graph)
+            with default_engine(engine):
+                profiles[engine] = profiler.profile(graph)
         ps, pv = profiles["scalar"], profiles["vector"]
         assert ps.timeline.events == pv.timeline.events
         assert ps.total_time_us == pv.total_time_us
+
+
+def test_default_engine_patch_reaches_both_profilers():
+    # the seam the profiler properties rely on: an engine name the
+    # runtime rejects must surface through each profiler
+    graph = record_step(8, 1, 2)
+    with default_engine("bogus"):
+        for profiler in (SynapseProfiler(GaudiConfig()),
+                         HLS1Profiler(HLS1Config(num_cards=2))):
+            with pytest.raises(ExecutionError, match="bogus"):
+                profiler.profile(graph)

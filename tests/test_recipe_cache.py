@@ -9,6 +9,9 @@ steady-state iterations do not, and a cached compile yields a timeline
 identical to a fresh one.
 """
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from repro.synapse import (
     graph_signature,
     recipe_key,
 )
+from repro.synapse.recipe import _RUNTIME_ONLY_OPTIONS
 from repro.synapse.serialize import schedule_to_json
 from repro.util.errors import ConfigError
 
@@ -60,7 +64,69 @@ class TestGraphSignature:
         assert rec.graph_signature() == graph_signature(rec.graph)
 
 
+#: a legal non-default value for every CompilerOptions field
+NON_DEFAULT_OPTIONS = {
+    "lower_composites": False,
+    "fuse_elementwise": False,
+    "insert_dma": False,
+    "elide_views": False,
+    "hbm_contention": False,
+    "enforce_memory": False,
+    "validate_graph": False,
+    "inject_recompiles": False,
+    "plan_memory": False,
+    "use_recipe_cache": False,
+    "inject_collectives": True,
+    "bucket_mb": 4.0,
+    "comm_overlap": False,
+    "scheduler": "lookahead",
+    "tpc_slice_ops": True,
+    "tpc_slice_min_us": 50.0,
+    "hbm_budget": 1 << 30,
+    "memory_policy": "auto",
+    "tp": 2,
+    "pp": 2,
+    "microbatches": 2,
+    "attention_lowering": "fused",
+    "attention_window": 128,
+    "backend": "wse",
+}
+
+#: the options that change how a schedule runs, never what compiles
+RUNTIME_ONLY = {"scheduler", "hbm_contention", "use_recipe_cache"}
+
+
+def schedule_without_stats(schedule) -> dict:
+    blob = json.loads(schedule_to_json(schedule))
+    blob.pop("stats")
+    return blob
+
+
 class TestRecipeKey:
+    def test_every_option_has_a_non_default_value(self):
+        names = [f.name for f in dataclasses.fields(CompilerOptions)]
+        assert set(names) == set(NON_DEFAULT_OPTIONS)
+        assert set(_RUNTIME_ONLY_OPTIONS) == RUNTIME_ONLY
+        for name in names:
+            assert (NON_DEFAULT_OPTIONS[name]
+                    != getattr(CompilerOptions(), name)), name
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(CompilerOptions)]
+    )
+    def test_option_keys_recipe_iff_it_changes_the_compile(self, name):
+        graph = record_program().graph
+        config = GaudiConfig()
+        changed = CompilerOptions(**{name: NON_DEFAULT_OPTIONS[name]})
+        base_key = recipe_key(graph, config, CompilerOptions())
+        if name not in RUNTIME_ONLY:
+            assert recipe_key(graph, config, changed) != base_key
+            return
+        assert recipe_key(graph, config, changed) == base_key
+        assert schedule_without_stats(
+            GraphCompiler(options=changed).compile(graph)
+        ) == schedule_without_stats(GraphCompiler().compile(graph))
+
     def test_compile_option_changes_key(self):
         graph = record_program().graph
         config = GaudiConfig()

@@ -17,6 +17,7 @@ from repro.core.sweep import (
     sweep_spec_from_cli,
 )
 from repro.hw.config import HLS1Config
+from repro.util.errors import ConfigError
 
 import pytest
 
@@ -72,15 +73,34 @@ class TestSpecExpansion:
         assert opts.comm_overlap is True
 
     def test_empty_spec_rejected(self):
-        with pytest.raises(ValueError, match="no points"):
+        with pytest.raises(ConfigError, match="no points"):
             run_sweep(SweepSpec(name="empty", models=()))
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
+        with pytest.raises(ConfigError, match="executor"):
             run_sweep(small_spec(executor="nope"))
 
+    @pytest.mark.parametrize(
+        "field,axis", [("batch", "batches"), ("seq_len", "seq_lens")]
+    )
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_point_rejects_non_positive_geometry(self, field, axis, value):
+        # None means the paper shape; 0 must not silently become it
+        match = f"{field} must be positive"
+        with pytest.raises(ConfigError, match=match):
+            SweepPoint(model="gpt", **{field: value})
+        with pytest.raises(ConfigError, match=match):
+            SweepSpec(name="t", **{axis: (value,)}).expand()
+
+    def test_cli_spec_builder_rejects_bad_layout_flags(self):
+        with pytest.raises(ConfigError, match="tp/pp must be >= 1"):
+            sweep_spec_from_cli(["gpt"], [], [], [], [], tp=0)
+        with pytest.raises(ConfigError, match="auto-layout"):
+            sweep_spec_from_cli(["gpt"], [], [], [], [], tp=2,
+                                auto_layout=True)
+
     def test_cli_spec_builder_validates_policies(self):
-        with pytest.raises(ValueError, match="unknown sweep policy"):
+        with pytest.raises(ConfigError, match="unknown sweep policy"):
             sweep_spec_from_cli([], [], [], [], ["bogus"])
         spec = sweep_spec_from_cli(
             ["gpt"], [4], [], [1, 4], ["ddp", "no-overlap"]
